@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 
 #include "util/check.h"
 #include "util/thresholds.h"
@@ -96,6 +98,27 @@ GeoAllocator::GeoAllocator(LayoutStore& mem, const GeoConfig& config)
   waste_thr_ = rng_.next_tick_in(eps_t_ / 2, eps_t_);
 }
 
+Tick GeoAllocator::min_capacity(double eps) {
+  MEMREAL_CHECK(eps > 0 && eps < 0.5);
+  // The constructor needs e5 = floor(eps^5 * capacity) with
+  // e5 * sqrt(eps) >= 1.  Find the smallest such e5, then the smallest
+  // capacity reaching it, both evaluated in the constructor's arithmetic
+  // (each predicate is monotone, so stepping from a guess finds the edge).
+  const double root = std::sqrt(eps);
+  auto e5 = static_cast<Tick>(1.0 / root);
+  while (static_cast<double>(e5) * root < 1.0) ++e5;
+  const double per_tick = std::pow(eps, 5.0);
+  const double guess = std::ceil(static_cast<double>(e5) / per_tick);
+  if (guess >= 0x1p63) return std::numeric_limits<Tick>::max();
+  auto reaches = [&](Tick cap) {
+    return static_cast<Tick>(per_tick * static_cast<double>(cap)) >= e5;
+  };
+  auto cap = static_cast<Tick>(guess);
+  while (cap > 1 && reaches(cap - 1)) --cap;
+  while (!reaches(cap)) ++cap;
+  return cap;
+}
+
 std::uint64_t GeoAllocator::sample_threshold(std::uint64_t c) {
   MEMREAL_CHECK(c >= 1);
   const std::uint64_t lo = ceil_div(c, 4);
@@ -114,41 +137,42 @@ std::size_t GeoAllocator::class_of_size(Tick size) const {
   return idx;
 }
 
+void GeoAllocator::place_from(std::size_t from) {
+  const Tick off = from == 0 ? 0 : mem_->end_of(order_[from - 1]);
+  mem_->apply_run(std::span<const ItemId>(order_).subspan(from), off);
+}
+
 void GeoAllocator::apply_layout(std::size_t from) {
-  Tick off = from == 0 ? 0 : mem_->end_of(order_[from - 1]);
+  place_from(from);
   for (std::size_t k = from; k < order_.size(); ++k) {
-    const ItemId id = order_[k];
-    mem_->move_to(id, off);
-    info_[id].pos = k;
-    off += mem_->extent_of(id);
+    info_.find(order_[k])->second.pos = k;
   }
 }
 
 std::size_t GeoAllocator::suffix_start_for_label(int label) const {
-  // order_ is sorted by label (huge = -1 first).  Binary search for the
-  // first index whose label >= label.
-  std::size_t lo = 0;
-  std::size_t hi = order_.size();
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (info_.at(order_[mid]).label < label) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  // labels_ is non-decreasing (huge = -1 first): the first index whose
+  // label is >= label.
+  return static_cast<std::size_t>(
+      std::lower_bound(labels_.begin(), labels_.end(), label) -
+      labels_.begin());
 }
 
 std::size_t GeoAllocator::level_item_count(int j) const {
   return order_.size() - suffix_start_for_label(j);
 }
 
+int GeoAllocator::label_of(ItemId id) const {
+  auto it = info_.find(id);
+  MEMREAL_CHECK_MSG(it != info_.end(), "label_of unknown item " << id);
+  return labels_[it->second.pos];
+}
+
 void GeoAllocator::rebuild_level(int j0) {
   MEMREAL_CHECK(j0 >= 1 && j0 <= ell_);
   ++level_rebuilds_;
-  // We rearrange level j0-1 (labels >= j0-1).
+  // We rearrange level j0-1 (labels >= j0-1): the suffix order_[ss, end).
   const std::size_t ss = suffix_start_for_label(j0 - 1);
+  const std::size_t n = order_.size() - ss;
 
   // New labels.  For each class, walk its items in ascending logical size:
   // the item of rank k belongs to I_j for every j with k < c_{i,j}; its new
@@ -158,62 +182,76 @@ void GeoAllocator::rebuild_level(int j0) {
   // logical-size *ties*, and among tied items only enough of them need to
   // be inside the suffix.  Selection therefore prefers suffix members among
   // ties; a strictly smaller item outside the suffix is a genuine
-  // violation.
-  std::unordered_map<ItemId, int> new_label;
-  new_label.reserve(order_.size() - ss);
+  // violation.  Suffix items no class selects fall back to label j0-1.
+  new_labels_.assign(n, j0 - 1);
   for (std::size_t i = 0; i < class_lo_.size(); ++i) {
     const ClassSet& set = class_items_[i];
     if (set.empty()) continue;
     const std::uint64_t take = c_[i][static_cast<std::size_t>(j0)];
     if (take == 0) continue;
     // Candidates: the `take` smallest plus everything tied with the last.
-    std::vector<std::pair<Tick, ItemId>> cand;
+    cand_.clear();
+    auto collect = [&](const std::pair<Tick, ItemId>& entry) {
+      const std::size_t pos = info_.find(entry.second)->second.pos;
+      cand_.push_back({entry.first, pos, pos >= ss});
+    };
     auto it = set.begin();
     for (std::uint64_t k = 0; k < take && it != set.end(); ++k, ++it) {
-      cand.push_back(*it);
+      collect(*it);
     }
-    const Tick cutoff = cand.back().first;
+    const Tick cutoff = cand_.back().size;
     while (it != set.end() && it->first == cutoff) {
-      cand.push_back(*it);
+      collect(*it);
       ++it;
     }
-    std::stable_sort(cand.begin(), cand.end(),
-                     [&](const std::pair<Tick, ItemId>& a,
-                         const std::pair<Tick, ItemId>& b) {
-                       if (a.first != b.first) return a.first < b.first;
-                       const bool sa = info_.at(a.second).label >= j0 - 1;
-                       const bool sb = info_.at(b.second).label >= j0 - 1;
-                       return sa && !sb;
-                     });
+    // Rank by (logical size, suffix members first).  The set yields
+    // (size, id) order, so visiting each run of equal sizes twice — suffix
+    // members, then the rest — is the stable sort by that key (without
+    // std::stable_sort's temporary buffer).  take > 0 means j*_i >= j0,
+    // and c_{i,j} falls as j grows, so the deepest level admitting a rank
+    // only gets shallower as the rank grows.
     std::uint64_t rank = 0;
-    for (const auto& [sz, id] : cand) {
-      if (rank >= take) break;
-      int lbl = j0 - 1;
-      for (int j = jstar_[i]; j >= j0; --j) {
-        if (rank < c_[i][static_cast<std::size_t>(j)]) {
-          lbl = j;
-          break;
+    int j = jstar_[i];
+    for (std::size_t a = 0; a < cand_.size() && rank < take;) {
+      std::size_t b = a + 1;
+      while (b < cand_.size() && cand_[b].size == cand_[a].size) ++b;
+      for (const bool suffix_pass : {true, false}) {
+        for (std::size_t k = a; k < b && rank < take; ++k) {
+          const Candidate& c = cand_[k];
+          if (c.in_suffix != suffix_pass) continue;
+          MEMREAL_CHECK_MSG(
+              c.in_suffix,
+              "Lemma 4.2 violated: I_j member outside level j0-1");
+          while (j >= j0 && rank >= c_[i][static_cast<std::size_t>(j)]) --j;
+          new_labels_[c.pos - ss] = j;  // j0-1 once no level admits rank
+          ++rank;
         }
       }
-      MEMREAL_CHECK_MSG(info_.at(id).label >= j0 - 1,
-                        "Lemma 4.2 violated: I_j member outside level j0-1");
-      new_label.emplace(id, lbl);
-      ++rank;
+      a = b;
     }
   }
-  // Everything else in the suffix falls back to label j0-1.
-  for (std::size_t k = ss; k < order_.size(); ++k) {
-    const ItemId id = order_[k];
-    auto it = new_label.find(id);
-    info_[id].label = it == new_label.end() ? j0 - 1 : it->second;
+
+  // Stable counting sort of the suffix by new label (I_j to the right of
+  // its complement, for every j >= j0).  bucket_[l + 1] counts label l;
+  // the prefix sums turn bucket_[l] into label l's first slot.
+  bucket_.assign(static_cast<std::size_t>(ell_) + 2, 0);
+  for (const int l : new_labels_) ++bucket_[static_cast<std::size_t>(l) + 1];
+  for (std::size_t l = 1; l < bucket_.size(); ++l) {
+    bucket_[l] += bucket_[l - 1];
   }
-  // Stable sort the suffix by new label (I_j to the right of its
-  // complement, for every j >= j0).
-  std::stable_sort(order_.begin() + static_cast<std::ptrdiff_t>(ss),
-                   order_.end(), [&](ItemId a, ItemId b) {
-                     return info_.at(a).label < info_.at(b).label;
-                   });
-  apply_layout(ss);
+  // Only items the sort displaces need their pos rewritten.
+  sorted_.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const int l = new_labels_[k];
+    const std::size_t dst = bucket_[static_cast<std::size_t>(l)]++;
+    const ItemId id = order_[ss + k];
+    sorted_[dst] = id;
+    labels_[ss + dst] = l;
+    if (dst != k) info_.find(id)->second.pos = ss + dst;
+  }
+  std::copy(sorted_.begin(), sorted_.end(),
+            order_.begin() + static_cast<std::ptrdiff_t>(ss));
+  place_from(ss);
 }
 
 void GeoAllocator::bump_counters_and_rebuild(std::size_t cls,
@@ -251,7 +289,7 @@ void GeoAllocator::waste_recovery() {
   ++waste_recoveries_;
   // Revert all logical inflation, compact everything, rebuild level 1.
   for (auto& [id, inf] : info_) {
-    if (inf.label < 0) continue;
+    if (labels_[inf.pos] < 0) continue;
     const Tick ext = mem_->extent_of(id);
     const Tick sz = mem_->size_of(id);
     if (ext != sz) {
@@ -274,7 +312,9 @@ void GeoAllocator::insert(ItemId id, Tick size) {
     // Cost <= L / size <= O(eps^-1/2).
     order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(huge_count_),
                   id);
-    info_[id] = Info{-1, 0, huge_count_};
+    labels_.insert(labels_.begin() + static_cast<std::ptrdiff_t>(huge_count_),
+                   -1);
+    info_[id] = Info{0, huge_count_};
     const Tick off =
         huge_count_ == 0 ? 0 : mem_->end_of(order_[huge_count_ - 1]);
     mem_->place(id, off, size);
@@ -287,8 +327,9 @@ void GeoAllocator::insert(ItemId id, Tick size) {
   // Place immediately after the final item (Algorithm 3), label ell.
   const Tick off = order_.empty() ? 0 : mem_->end_of(order_.back());
   mem_->place(id, off, size);
-  info_[id] = Info{ell_, cls, order_.size()};
+  info_[id] = Info{cls, order_.size()};
   order_.push_back(id);
+  labels_.push_back(ell_);
   class_items_[cls].insert({size, id});
 
   bump_counters_and_rebuild(cls, /*is_insert=*/true);
@@ -298,12 +339,14 @@ void GeoAllocator::erase(ItemId id) {
   auto iit = info_.find(id);
   MEMREAL_CHECK_MSG(iit != info_.end(), "erase of unknown item " << id);
   const Info inf = iit->second;
+  const int label = labels_[inf.pos];
 
-  if (inf.label < 0) {
+  if (label < 0) {
     // Huge delete: remove and close the hole (compacts huge prefix and
     // shifts the rest left).  Cost <= L / size <= O(eps^-1/2).
     mem_->remove(id);
     order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(inf.pos));
+    labels_.erase(labels_.begin() + static_cast<std::ptrdiff_t>(inf.pos));
     info_.erase(iit);
     --huge_count_;
     apply_layout(inf.pos);
@@ -316,7 +359,7 @@ void GeoAllocator::erase(ItemId id) {
   Tick swap_waste = 0;
   std::size_t hole_pos;
 
-  if (inf.label < js) {
+  if (label < js) {
     // Swap in the smallest class item I' (Algorithm 4 lines 5-8); the
     // invariants guarantee one of minimum logical size lives in level j*
     // (ties are resolved toward the deep copy).
@@ -328,7 +371,7 @@ void GeoAllocator::erase(ItemId id) {
     for (auto sit = first; sit != set.end() && sit->first == min_size;
          ++sit) {
       if (sit->second == id) continue;
-      if (info_.at(sit->second).label >= js) {
+      if (labels_[info_.at(sit->second).pos] >= js) {
         other = sit->second;
         break;
       }
@@ -351,10 +394,10 @@ void GeoAllocator::erase(ItemId id) {
     set.insert({my_extent, other});
     mem_->move_to(other, slot);
     mem_->set_extent(other, my_extent);
-    info_[other].label = inf.label;  // I' inherits I's level
-    info_[other].pos = p;
+    info_[other].pos = p;  // I' takes I's slot and inherits its label
     order_[p] = other;
     order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(q));
+    labels_.erase(labels_.begin() + static_cast<std::ptrdiff_t>(q));
     hole_pos = q;
     swapped = true;
     // Waste bound: class width (exact intra-class extent difference).
@@ -365,6 +408,7 @@ void GeoAllocator::erase(ItemId id) {
     mem_->remove(id);
     hole_pos = inf.pos;
     order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(inf.pos));
+    labels_.erase(labels_.begin() + static_cast<std::ptrdiff_t>(inf.pos));
     info_.erase(iit);
     swapped = false;
   }
@@ -384,16 +428,21 @@ void GeoAllocator::erase(ItemId id) {
 
 void GeoAllocator::check_invariants() const {
   MEMREAL_CHECK(order_.size() == info_.size());
-  // Layout: contiguous extents, labels ascending, pos correct.
+  MEMREAL_CHECK(labels_.size() == order_.size());
+  // Layout: contiguous extents, labels ascending (huge prefix first), pos
+  // correct.
   Tick off = 0;
   int prev_label = -1;
   for (std::size_t k = 0; k < order_.size(); ++k) {
     const ItemId id = order_[k];
-    const Info& inf = info_.at(id);
+    const int label = labels_[k];
     MEMREAL_CHECK_MSG(mem_->offset_of(id) == off, "layout not contiguous");
-    MEMREAL_CHECK(inf.pos == k);
-    MEMREAL_CHECK_MSG(inf.label >= prev_label, "labels out of order");
-    prev_label = inf.label;
+    MEMREAL_CHECK(info_.at(id).pos == k);
+    MEMREAL_CHECK_MSG(label >= prev_label && label <= ell_,
+                      "labels out of order");
+    MEMREAL_CHECK_MSG((label < 0) == (k < huge_count_),
+                      "huge prefix and label -1 disagree");
+    prev_label = label;
     off += mem_->extent_of(id);
   }
   // Waste: total inflation across GEO's own items stays below eps.  (Under
@@ -410,8 +459,10 @@ void GeoAllocator::check_invariants() const {
       classes,
       std::vector<std::uint64_t>(static_cast<std::size_t>(ell_) + 1, 0));
   for (const auto& [id, inf] : info_) {
-    if (inf.label < 0) continue;
-    cnt[inf.cls][static_cast<std::size_t>(inf.label)] += 1;
+    MEMREAL_CHECK(inf.pos < order_.size() && order_[inf.pos] == id);
+    const int label = labels_[inf.pos];
+    if (label < 0) continue;
+    cnt[inf.cls][static_cast<std::size_t>(label)] += 1;
   }
   for (std::size_t i = 0; i < classes; ++i) {
     std::uint64_t suffix = 0;
@@ -432,7 +483,7 @@ void GeoAllocator::check_invariants() const {
     bool deep = false;
     for (auto it = class_items_[i].begin();
          it != class_items_[i].end() && it->first == min_size; ++it) {
-      if (info_.at(it->second).label >= jstar_[i]) {
+      if (labels_[info_.at(it->second).pos] >= jstar_[i]) {
         deep = true;
         break;
       }

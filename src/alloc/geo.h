@@ -28,6 +28,12 @@
 // Layout discipline: [huge][label 0][label 1]...[label ell], contiguous in
 // extents, left-aligned at 0.  An item's label is the deepest level that
 // contains it; level j = all items with label >= j.
+//
+// Bookkeeping: labels live only in labels_, an array parallel to the layout
+// order order_ (huge items carry -1), so every level boundary is a binary
+// search and a level rebuild — a stable partition of a suffix of order_ by
+// new label — is a counting sort over the ell+1 labels, with no hash lookup
+// per comparison.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +60,12 @@ class GeoAllocator final : public Allocator {
  public:
   GeoAllocator(LayoutStore& mem, const GeoConfig& config);
 
+  /// Smallest memory capacity (in ticks) GEO can be built over at `eps`:
+  /// below it eps^5 * capacity falls under eps^-1/2 ticks and adjacent size
+  /// classes collapse, so the constructor refuses.  Saturates at the
+  /// largest Tick when no capacity suffices.
+  [[nodiscard]] static Tick min_capacity(double eps);
+
   void insert(ItemId id, Tick size) override;
   void erase(ItemId id) override;
   [[nodiscard]] std::string_view name() const override { return "geo"; }
@@ -73,16 +85,28 @@ class GeoAllocator final : public Allocator {
   }
   /// Number of items currently labelled >= j (level j size in items).
   [[nodiscard]] std::size_t level_item_count(int j) const;
+  /// An item's label: -1 for huge items, else the deepest level holding it.
+  [[nodiscard]] int label_of(ItemId id) const;
 
  private:
   struct Info {
-    int label = 0;  ///< -1 = huge; 0..ell = deepest level containing item
-    std::size_t cls = 0;   ///< size class (valid when label >= 0)
-    std::size_t pos = 0;   ///< index in order_
+    std::size_t cls = 0;  ///< size class (unused for huge items)
+    std::size_t pos = 0;  ///< index in order_ (and labels_)
+  };
+
+  /// A level-rebuild candidate: one class member among the smallest.
+  struct Candidate {
+    Tick size = 0;           ///< logical size (class-set key)
+    std::size_t pos = 0;     ///< index in order_
+    bool in_suffix = false;  ///< inside the rebuilt suffix
   };
 
   using ClassSet = std::set<std::pair<Tick, ItemId>>;  ///< by logical size
 
+  /// Relocates order_[from, end) extent-contiguously behind
+  /// order_[from - 1] (or from 0) in one LayoutStore::apply_run.
+  void place_from(std::size_t from);
+  /// place_from plus a pos refresh, for callers that shifted indices.
   void apply_layout(std::size_t from);
   [[nodiscard]] std::size_t suffix_start_for_label(int label) const;
   void rebuild_level(int j0);
@@ -111,6 +135,7 @@ class GeoAllocator final : public Allocator {
   std::vector<std::vector<std::uint64_t>> ins_thr_, del_thr_;
 
   std::vector<ItemId> order_;  ///< sorted: huge first, then by label asc
+  std::vector<int> labels_;    ///< labels_[k] = label of order_[k]
   std::unordered_map<ItemId, Info> info_;
   std::vector<ClassSet> class_items_;
   std::size_t huge_count_ = 0;
@@ -119,6 +144,12 @@ class GeoAllocator final : public Allocator {
   Tick waste_thr_ = 0;  ///< uniform in (eps/2, eps)
   std::size_t waste_recoveries_ = 0;
   std::size_t level_rebuilds_ = 0;
+
+  // rebuild_level scratch, kept across calls so a rebuild does not allocate.
+  std::vector<Candidate> cand_;
+  std::vector<int> new_labels_;      ///< by suffix position
+  std::vector<std::size_t> bucket_;  ///< counting-sort offsets per label
+  std::vector<ItemId> sorted_;       ///< suffix in new-label order
 };
 
 }  // namespace memreal

@@ -28,6 +28,11 @@ Tick SizeProfile::max_size(double eps, Tick capacity) const {
   return std::max(min_size(eps, capacity) + 1, ticks);
 }
 
+WorkloadShape SizeProfile::shape(double eps, Tick capacity) const {
+  return {min_size(eps, capacity), max_size(eps, capacity) - 1,
+          fixed_palette};
+}
+
 bool AllocatorInfo::serves(const WorkloadShape& shape, double eps,
                            Tick capacity, std::string* why) const {
   auto reject = [&](const std::string& reason) {
@@ -37,6 +42,12 @@ bool AllocatorInfo::serves(const WorkloadShape& shape, double eps,
   if (eps > max_eps) {
     return reject("eps " + std::to_string(eps) +
                   " beyond the supported ceiling " + std::to_string(max_eps));
+  }
+  if (min_capacity != nullptr && capacity < min_capacity(eps)) {
+    return reject("capacity " + std::to_string(capacity) +
+                  " below the minimum " + std::to_string(min_capacity(eps)) +
+                  " at eps " + std::to_string(eps) +
+                  " (size classes would collapse)");
   }
   if (universal) return true;
   if (shape.min_size < 1 || shape.min_size > shape.max_size) {
@@ -104,7 +115,8 @@ const std::vector<Entry>& builtin_entries() {
                  [](LayoutStore& mem, const AllocatorParams& p) {
                    return std::make_unique<SimpleAllocator>(mem, p.eps);
                  }});
-    e.push_back({{"geo", geo_band, {16.0, 0.5}, 1.0 / 64, 0.0, false, true},
+    e.push_back({{"geo", geo_band, {16.0, 0.5}, 1.0 / 64, 0.0, false, true,
+                  /*max_eps=*/0.25, &GeoAllocator::min_capacity},
                  [](LayoutStore& mem, const AllocatorParams& p) {
                    GeoConfig c;
                    c.eps = p.eps;
@@ -126,7 +138,12 @@ const std::vector<Entry>& builtin_entries() {
                    c.seed = p.seed;
                    return std::make_unique<FlexHashAllocator>(mem, c);
                  }});
-    e.push_back({{"combined", mixed, {32.0, 0.5}, 1.0 / 32, 0.0, false, true},
+    // COMBINED runs GEO at eps/2 over the whole memory (Corollary 4.10).
+    e.push_back({{"combined", mixed, {32.0, 0.5}, 1.0 / 32, 0.0, false, true,
+                  /*max_eps=*/0.25,
+                  [](double eps) {
+                    return GeoAllocator::min_capacity(eps / 2);
+                  }},
                  [](LayoutStore& mem, const AllocatorParams& p) {
                    CombinedConfig c;
                    c.eps = p.eps;

@@ -33,6 +33,19 @@ struct AllocatorParams {
 using AllocatorFactory =
     std::function<std::unique_ptr<Allocator>(LayoutStore&, const AllocatorParams&)>;
 
+/// The size shape of a workload: the tick band its inserts draw from and
+/// whether the sizes form a small reused palette.  Drivers derive one from
+/// a generator's configuration and ask AllocatorInfo::serves before a run,
+/// so an inadmissible (workload, allocator) pair is rejected up front with
+/// a reason instead of failing mid-run.
+struct WorkloadShape {
+  Tick min_size = 1;  ///< smallest insert, inclusive
+  Tick max_size = 1;  ///< largest insert, inclusive
+  /// Sizes are drawn once as a small fixed set and reused (DISCRETE-style
+  /// structured sizes) rather than sampled freely from the band.
+  bool fixed_palette = false;
+};
+
 /// The item-size band an allocator guarantees to serve, as a function of
 /// eps: sizes (as fractions of capacity) in
 ///   [lo_factor * eps^lo_pow, hi_factor * eps^hi_pow).
@@ -48,6 +61,9 @@ struct SizeProfile {
 
   [[nodiscard]] Tick min_size(double eps, Tick capacity) const;
   [[nodiscard]] Tick max_size(double eps, Tick capacity) const;
+  /// The whole band at (eps, capacity) as a workload shape — what drivers
+  /// that sample an allocator's own band generate.
+  [[nodiscard]] WorkloadShape shape(double eps, Tick capacity) const;
 
   friend bool operator==(const SizeProfile&, const SizeProfile&) = default;
 };
@@ -64,18 +80,6 @@ struct CostBudget {
   [[nodiscard]] double bound(double eps) const;
 };
 
-/// The size shape of a workload: the tick band its inserts draw from and
-/// whether the sizes form a small reused palette.  Drivers derive one from
-/// a generator's configuration and ask AllocatorInfo::serves before a run,
-/// so an inadmissible (workload, allocator) pair is rejected up front with
-/// a reason instead of failing mid-run.
-struct WorkloadShape {
-  Tick min_size = 1;  ///< smallest insert, inclusive
-  Tick max_size = 1;  ///< largest insert, inclusive
-  /// Sizes are drawn once as a small fixed set and reused (DISCRETE-style
-  /// structured sizes) rather than sampled freely from the band.
-  bool fixed_palette = false;
-};
 
 /// Registry metadata for one allocator: everything the fuzzer needs to
 /// generate admissible workloads and judge the run.
@@ -95,11 +99,16 @@ struct AllocatorInfo {
   /// eps <= 1/16 — beyond that its headroom constants collapse and items
   /// land past the end of memory.
   double max_eps = 0.25;
+  /// Smallest capacity (in ticks) the allocator can be built over at a
+  /// given eps; null = no floor.  GEO's geometric size classes collapse
+  /// when eps^5 * capacity is too few ticks, and its constructor refuses.
+  Tick (*min_capacity)(double eps) = nullptr;
 
   /// True when this allocator guarantees to serve every sequence of
-  /// `shape` at (`eps`, `capacity`): the shape's band lies inside the
-  /// allocator's SizeProfile band and a fixed-palette requirement is met.
-  /// Universal allocators serve every shape.  On rejection, `why` (when
+  /// `shape` at (`eps`, `capacity`): the capacity meets the allocator's
+  /// floor, the shape's band lies inside the allocator's SizeProfile band
+  /// and a fixed-palette requirement is met.  Universal allocators serve
+  /// every shape.  On rejection, `why` (when
   /// non-null) receives a one-line reason naming the violated bound.
   [[nodiscard]] bool serves(const WorkloadShape& shape, double eps,
                             Tick capacity, std::string* why = nullptr) const;

@@ -139,6 +139,21 @@ void check_scenario_targets(const FuzzConfig& cfg,
   }
 }
 
+/// Every target must serve its group's own band at (eps, capacity) — in
+/// practice, the capacity must meet GEO-family floors; throws naming the
+/// first misfit.
+void check_target_capacities(const FuzzConfig& cfg,
+                             const std::vector<TargetGroup>& groups) {
+  for (const TargetGroup& group : groups) {
+    const WorkloadShape shape = group.sizes.shape(group.eps, cfg.capacity);
+    for (const AllocatorInfo& info : group.members) {
+      std::string why;
+      MEMREAL_CHECK_MSG(info.serves(shape, group.eps, cfg.capacity, &why),
+                        why);
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<AllocatorInfo> resolve_fuzz_targets(const FuzzConfig& cfg) {
@@ -163,6 +178,7 @@ FuzzSummary run_fuzz(const FuzzConfig& cfg) {
                         << cfg.engine << "' (validated, release, arena)");
   const std::vector<TargetGroup> groups =
       make_target_groups(resolve_fuzz_targets(cfg));
+  check_target_capacities(cfg, groups);
   if (!cfg.scenario.empty()) check_scenario_targets(cfg, groups);
 
   std::vector<std::optional<FuzzFailure>> slots(cfg.iterations);

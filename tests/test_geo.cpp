@@ -2,10 +2,15 @@
 // swap/inflation, waste recovery, level-size invariant, cost shape.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
 
 #include "alloc/geo.h"
 #include "mem/memory.h"
+#include "release/release_engine.h"
+#include "release/slab_store.h"
 #include "testing.h"
 #include "workload/adversarial.h"
 #include "workload/churn.h"
@@ -173,6 +178,23 @@ TEST(Geo, CapacityResolutionGuard) {
   EXPECT_THROW(GeoAllocator(mem, c), InvariantViolation);
 }
 
+TEST(Geo, MinCapacityIsTheConstructorsFloor) {
+  for (const double eps : {0.3, 1.0 / 4, 1.0 / 8, 1.0 / 16, 1.0 / 32, 1.0 / 64,
+                           0.01, 1.0 / 256}) {
+    const Tick min_cap = GeoAllocator::min_capacity(eps);
+    GeoConfig c;
+    c.eps = eps;
+    for (const Tick cap : {min_cap, min_cap + 1, 2 * min_cap + 3}) {
+      Memory mem(cap, Eps::of(eps, cap).ticks);
+      EXPECT_NO_THROW(GeoAllocator(mem, c)) << "eps " << eps << " cap " << cap;
+    }
+    Memory below(min_cap - 1, Eps::of(eps, min_cap - 1).ticks);
+    EXPECT_THROW(GeoAllocator(below, c), InvariantViolation) << "eps " << eps;
+  }
+  // eps^-5.5 ticks: 2^33 at eps 1/64.
+  EXPECT_EQ(GeoAllocator::min_capacity(1.0 / 64), Tick{1} << 33);
+}
+
 TEST(Geo, LevelItemCountsAreNested) {
   const double eps = 1.0 / 64;
   const Sequence seq = geo_seq(eps, 400, 8);
@@ -276,6 +298,162 @@ TEST(Geo, DeterministicThresholdAblationStillCorrect) {
   Engine engine(mem, geo, opts);
   const RunStats s = engine.run(seq.updates);
   EXPECT_GT(s.updates, 0u);
+}
+
+// -- Bit-identity pin ---------------------------------------------------------
+//
+// A GEO run is a pure function of (sequence, config): every RNG draw, every
+// rebuild and every move is deterministic.  The digest below folds the
+// per-update cost stream, the final layout and the structural event counts
+// into one FNV-1a hash; the constants were recorded before GEO's label
+// bookkeeping moved from the per-item map into an array parallel to the
+// layout order, and any change to GEO's decisions or move order breaks
+// them.
+
+struct GeoRunDigest {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  std::size_t level_rebuilds = 0;
+  std::size_t waste_recoveries = 0;
+
+  void mix(std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      hash ^= (x >> (8 * b)) & 0xff;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+};
+
+// eps 1/64 with a narrow band (frequent swap-deletes, so waste recovery
+// fires) and a 5% stream of huge items (huge inserts and erases).
+Sequence pin_sequence() {
+  GeoRegimeConfig c;
+  c.capacity = kCap;
+  c.eps = 1.0 / 64;
+  c.band_ratio = 4;
+  c.huge_fraction = 0.05;
+  c.churn_updates = 3000;
+  c.seed = 11;
+  return make_geo_regime(c);
+}
+
+template <class Store, class EngineT>
+GeoRunDigest pinned_geo_run(const Sequence& seq) {
+  Store store(seq.capacity, seq.eps_ticks);
+  GeoAllocator geo = make_geo(store, seq.eps, 21);
+  EngineT engine(store, geo);
+  GeoRunDigest d;
+  for (const Update& u : seq.updates) {
+    d.mix(std::bit_cast<std::uint64_t>(engine.step(u)));
+  }
+  for (const PlacedItem& p : store.snapshot()) {
+    d.mix(p.id);
+    d.mix(p.offset);
+    d.mix(p.size);
+    d.mix(p.extent);
+  }
+  store.audit();
+  geo.check_invariants();
+  d.level_rebuilds = geo.level_rebuilds();
+  d.waste_recoveries = geo.waste_recoveries();
+  d.mix(d.level_rebuilds);
+  d.mix(d.waste_recoveries);
+  return d;
+}
+
+constexpr std::uint64_t kPinnedHash = 16266812734418821070ULL;
+constexpr std::size_t kPinnedRebuilds = 3275;
+constexpr std::size_t kPinnedRecoveries = 5;
+static_assert(kPinnedRecoveries > 0,
+              "the pinned run must reach waste recovery, which only "
+              "swap-deletes trigger");
+
+TEST(GeoPin, SequenceHasHugeInsertsAndErases) {
+  const Sequence seq = pin_sequence();
+  Memory mem(seq.capacity, seq.eps_ticks);
+  const Tick huge = make_geo(mem, seq.eps, 21).huge_threshold();
+  std::size_t huge_inserts = 0;
+  std::size_t huge_erases = 0;
+  for (const Update& u : seq.updates) {
+    if (u.size < huge) continue;
+    ++(u.is_insert() ? huge_inserts : huge_erases);
+  }
+  EXPECT_GT(huge_inserts, 0u);
+  EXPECT_GT(huge_erases, 0u);
+}
+
+TEST(GeoPin, MemoryRunIsBitIdentical) {
+  const GeoRunDigest d = pinned_geo_run<Memory, Engine>(pin_sequence());
+  EXPECT_EQ(d.hash, kPinnedHash);
+  EXPECT_EQ(d.level_rebuilds, kPinnedRebuilds);
+  EXPECT_EQ(d.waste_recoveries, kPinnedRecoveries);
+}
+
+TEST(GeoPin, SlabStoreRunIsBitIdentical) {
+  const GeoRunDigest d =
+      pinned_geo_run<SlabStore, ReleaseEngine>(pin_sequence());
+  EXPECT_EQ(d.hash, kPinnedHash);
+  EXPECT_EQ(d.level_rebuilds, kPinnedRebuilds);
+  EXPECT_EQ(d.waste_recoveries, kPinnedRecoveries);
+}
+
+// -- Label bookkeeping --------------------------------------------------------
+
+// Level j is every item labelled >= j; count it by brute force over the
+// store's snapshot and compare with GEO's own count.  Labels must also be
+// non-decreasing in offset order (the layout discipline).
+void expect_level_counts_match(const GeoAllocator& geo, const Memory& mem) {
+  const auto snap = mem.snapshot();
+  int prev = -1;
+  for (const PlacedItem& p : snap) {
+    EXPECT_GE(geo.label_of(p.id), prev) << "item " << p.id;
+    prev = geo.label_of(p.id);
+  }
+  for (int j = -1; j <= geo.level_count() + 1; ++j) {
+    std::size_t brute = 0;
+    for (const PlacedItem& p : snap) brute += geo.label_of(p.id) >= j;
+    EXPECT_EQ(geo.level_item_count(j), brute) << "level " << j;
+  }
+}
+
+TEST(Geo, LevelCountsTrackScriptedUpdates) {
+  const double eps = 1.0 / 64;
+  Memory mem = testing::strict_memory(kCap, eps);
+  GeoAllocator geo = make_geo(mem, eps);
+  Engine engine(mem, geo);
+  const Tick s = static_cast<Tick>(5e-4 * static_cast<double>(kCap));
+  const Tick huge = geo.huge_threshold() * 2;
+  const int jstar = geo.deepest_level_for_class(geo.class_of_size(s));
+  std::map<ItemId, Tick> live;
+  auto step = [&](const Update& u) {
+    engine.step(u);
+    if (u.is_insert()) {
+      live[u.id] = u.size;
+    } else {
+      live.erase(u.id);
+    }
+    geo.check_invariants();
+    expect_level_counts_match(geo, mem);
+  };
+  auto erase_where = [&](auto pred) {
+    for (const auto& [id, size] : live) {
+      if (pred(geo.label_of(id))) return step(Update::erase(id, size));
+    }
+    FAIL() << "no live item matches";
+  };
+  for (ItemId i = 1; i <= 12; ++i) step(Update::insert(i, s + i));
+  step(Update::insert(100, huge));
+  step(Update::insert(13, s + 13));
+  step(Update::insert(101, huge + 5));
+  step(Update::erase(100, huge));  // huge erase at the front of the prefix
+  // Swap-delete: deleting an item outside level j* (label < j*) moves the
+  // class minimum into its slot, inflated to the deleted item's extent.
+  erase_where([&](int label) { return label >= 0 && label < jstar; });
+  EXPECT_GT(mem.extent_mass(), mem.live_mass());
+  // In-level delete: an item inside level j* is just removed.
+  erase_where([&](int label) { return label >= jstar; });
+  step(Update::erase(101, huge + 5));
+  EXPECT_EQ(mem.item_count(), 11u);
+  EXPECT_EQ(geo.level_item_count(0), 11u);
 }
 
 }  // namespace

@@ -294,6 +294,16 @@ Options parse_args(int argc, char** argv) {
       usage_error(why + " (compatible scenarios for " + o.allocator + ": " +
                   (compat.empty() ? "none at this eps" : compat) + ")");
     }
+  } else {
+    // Churn samples the allocator's own band: only the eps ceiling and
+    // the capacity floor can refuse it.
+    const AllocatorInfo info = allocator_info(o.allocator);
+    const Tick shard_capacity = Tick{1} << o.capacity_log2;
+    std::string why;
+    if (!info.serves(info.sizes.shape(o.eps, shard_capacity), o.eps,
+                     shard_capacity, &why)) {
+      usage_error(why);
+    }
   }
   return o;
 }
@@ -967,9 +977,9 @@ int run(const Options& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options o = parse_args(argc, argv);
   try {
-    return run(o);
+    // parse_args looks the allocator up, which throws on unknown names.
+    return run(parse_args(argc, argv));
   } catch (const memreal::InvariantViolation& e) {
     std::fprintf(stderr, "memreal_serve: invariant violation: %s\n",
                  e.what());

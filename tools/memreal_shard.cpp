@@ -270,6 +270,13 @@ Sequence make_workload(const Options& o, Tick shard_capacity) {
     p.bytes_per_tick = o.bytes_per_tick;
     return make_scenario(o.workload, p);
   }
+  // The legacy generators draw from the allocator's own band, so only the
+  // eps ceiling and the capacity floor can refuse them.
+  std::string why;
+  if (!info.serves(info.sizes.shape(o.eps, shard_capacity), o.eps,
+                   shard_capacity, &why)) {
+    usage_error(why);
+  }
   if (o.workload == "vm_heap") {
     // Byte band derived from the allocator's tick band: the smallest
     // byte size that still rounds up to min_size ticks, up to the

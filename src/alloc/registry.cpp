@@ -15,17 +15,31 @@
 
 namespace memreal {
 
+namespace {
+
+/// factor * eps^pow of `capacity`, floored to ticks.  A linear edge scales
+/// the cell's eps tick count (Eps::of) instead, so an allocator that
+/// derives its band from eps_ticks — SIMPLE's [eps, 2eps) — sees the same
+/// edges at every eps, not only where eps * capacity is an integer.
+Tick band_edge(double factor, double pow, double eps, Tick capacity) {
+  if (pow == 1.0) {
+    return static_cast<Tick>(factor *
+                             static_cast<double>(Eps::of(eps, capacity).ticks));
+  }
+  const double frac = factor * std::pow(eps, pow);
+  return static_cast<Tick>(frac * static_cast<double>(capacity));
+}
+
+}  // namespace
+
 Tick SizeProfile::min_size(double eps, Tick capacity) const {
-  const double frac = lo_factor * std::pow(eps, lo_pow);
-  const auto ticks = static_cast<Tick>(frac * static_cast<double>(capacity));
-  return std::max<Tick>(1, ticks);
+  return std::max<Tick>(1, band_edge(lo_factor, lo_pow, eps, capacity));
 }
 
 Tick SizeProfile::max_size(double eps, Tick capacity) const {
-  const double frac = hi_factor * std::pow(eps, hi_pow);
-  const auto ticks = static_cast<Tick>(frac * static_cast<double>(capacity));
   // Keep the band non-degenerate even at extreme eps: min < max always.
-  return std::max(min_size(eps, capacity) + 1, ticks);
+  return std::max(min_size(eps, capacity) + 1,
+                  band_edge(hi_factor, hi_pow, eps, capacity));
 }
 
 WorkloadShape SizeProfile::shape(double eps, Tick capacity) const {

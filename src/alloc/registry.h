@@ -49,7 +49,9 @@ struct WorkloadShape {
 /// The item-size band an allocator guarantees to serve, as a function of
 /// eps: sizes (as fractions of capacity) in
 ///   [lo_factor * eps^lo_pow, hi_factor * eps^hi_pow).
-/// Converted to ticks with a >= 1 clamp, mirroring Eps::of.
+/// Converted to ticks with a >= 1 clamp, mirroring Eps::of; a linear
+/// edge (pow 1) scales Eps::of(eps, capacity).ticks, the eps tick count
+/// the cell and the allocator see.
 struct SizeProfile {
   double lo_factor = 1.0;
   double lo_pow = 1.0;

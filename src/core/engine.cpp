@@ -36,9 +36,9 @@ double Engine::step(const Update& update) {
                                   options_.metrics.shard);
     moved = memory_->end_update();
   }
-  stats_.record(is_insert, update.size, moved, memory_->last_update_bytes());
-  options_.metrics.on_update(is_insert, update.size, moved,
-                             memory_->last_update_bytes());
+  const Tick moved_bytes = memory_->last_update_bytes();
+  stats_.record(is_insert, update.size, moved, moved_bytes);
+  options_.metrics.on_update(is_insert, update.size, moved, moved_bytes);
 
   ++step_index_;
   if (options_.check_invariants_every != 0 &&

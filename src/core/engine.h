@@ -1,7 +1,10 @@
-// The engine drives an allocator through an update sequence against the
-// validating memory model, bracketing each update in a transaction and
-// collecting RunStats.  It runs against any LayoutStore — the validating
-// Memory model or the release SlabStore.
+// The engine drives an allocator through an update sequence against a
+// LayoutStore, bracketing each update in a transaction and collecting
+// RunStats.  It is the one engine every Cell runs (harness/cell.h),
+// whatever the store: the validating Memory model, the release SlabStore,
+// or either under an ArenaStore.  Its usage checks (a delete names a live
+// item of the stated size) validate the input stream, so they run on
+// every store; validating the layout is the store's job.
 #pragma once
 
 #include <cstddef>

@@ -3,9 +3,7 @@
 #include <memory>
 #include <sstream>
 
-#include "arena/arena_cell.h"
-#include "harness/validated_run.h"
-#include "release/release_cell.h"
+#include "harness/cell.h"
 #include "release/slab_store.h"
 #include "util/check.h"
 
@@ -33,7 +31,7 @@ namespace {
 /// human-readable description of the first difference, or empty if
 /// bit-identical.  `label` names the other store in messages.
 std::string compare_layouts(LayoutStore& validated, LayoutStore& other,
-                            const char* label = "release") {
+                            const char* label) {
   const std::vector<PlacedItem> a = validated.snapshot();
   const std::vector<PlacedItem> b = other.snapshot();
   if (a.size() != b.size()) {
@@ -62,7 +60,7 @@ std::string compare_layouts(LayoutStore& validated, LayoutStore& other,
 /// identical.  `label` names the other store in messages.
 std::string compare_counters(double validated_cost, double other_cost,
                              LayoutStore& validated, LayoutStore& other,
-                             const char* label = "release") {
+                             const char* label) {
   std::ostringstream os;
   if (validated_cost != other_cost) {
     os << "update cost differs: validated " << validated_cost << ", "
@@ -106,10 +104,22 @@ std::optional<FailureReport> run_differential(
     const Sequence& seq, const DifferentialConfig& config) {
   MEMREAL_CHECK(!config.targets.empty());
   MEMREAL_CHECK(!seq.updates.empty());
+  const bool lockstep = config.engine != "validated";
+  const bool arena = config.engine == "arena";
+  MEMREAL_CHECK_MSG(!lockstep || arena || config.engine == "release",
+                    "unknown differential engine '"
+                        << config.engine << "' (validated, release, arena)");
+  MEMREAL_CHECK_MSG(!config.release_tamper || config.engine == "release",
+                    "release_tamper needs engine 'release'");
+  // The subject cell's label in messages and its failure kind.
+  const char* label = arena ? "arena" : "release";
+  const FailureKind subject_kind =
+      arena ? FailureKind::kArenaDivergence : FailureKind::kEngineDivergence;
 
-  std::vector<std::unique_ptr<ValidatedCell>> cells;
-  std::vector<std::unique_ptr<ReleaseCell>> release_cells;
-  std::vector<std::unique_ptr<ArenaCell>> arena_cells;
+  // One validated reference cell per target, plus the subject cell that
+  // runs the same allocator in lockstep on the config.engine stack.
+  std::vector<std::unique_ptr<Cell>> cells;
+  std::vector<std::unique_ptr<Cell>> subjects;
   cells.reserve(config.targets.size());
   for (const FuzzTarget& t : config.targets) {
     CellConfig cell;
@@ -117,18 +127,15 @@ std::optional<FailureReport> run_differential(
     cell.params = t.params;
     cell.audit_every = config.audit_every;
     cell.check_invariants_every = config.check_invariants_every;
-    cells.push_back(std::make_unique<ValidatedCell>(seq, cell));
-    if (config.lockstep_release) {
-      release_cells.push_back(std::make_unique<ReleaseCell>(
-          seq.capacity, seq.eps_ticks, cell));
+    cells.push_back(make_cell(seq.capacity, seq.eps_ticks, cell));
+    if (!lockstep) continue;
+    if (arena) {
+      cell.arena = true;
+      cell.bytes_per_tick = config.arena_bytes_per_tick;
+    } else {
+      cell.engine = "release";
     }
-    if (config.lockstep_arena) {
-      CellConfig arena = cell;
-      arena.arena = true;
-      arena.bytes_per_tick = config.arena_bytes_per_tick;
-      arena_cells.push_back(std::make_unique<ArenaCell>(
-          seq.capacity, seq.eps_ticks, arena));
-    }
+    subjects.push_back(make_cell(seq.capacity, seq.eps_ticks, cell));
   }
   const std::size_t layout_every =
       config.audit_every == 0 ? 64 : config.audit_every;
@@ -148,10 +155,10 @@ std::optional<FailureReport> run_differential(
       live_mass -= u.size;
     }
     for (std::size_t t = 0; t < cells.size(); ++t) {
-      ValidatedCell& cell = *cells[t];
+      Cell& cell = *cells[t];
       double cost = 0.0;
       try {
-        cost = cell.engine().step(u);
+        cost = cell.step(u);
       } catch (const InvariantViolation& e) {
         FailureReport r;
         r.kind = FailureKind::kInvariantViolation;
@@ -193,95 +200,55 @@ std::optional<FailureReport> run_differential(
            << " undercuts live mass " << live_mass;
         return diverged(os.str());
       }
-      if (config.lockstep_release) {
-        ReleaseCell& fast = *release_cells[t];
-        auto engine_diverged = [&](const std::string& what) {
-          FailureReport r;
-          r.kind = FailureKind::kEngineDivergence;
-          r.allocator = cell.name();
-          r.update_index = i;
-          r.message = what;
-          return r;
-        };
-        double fast_cost = 0.0;
-        try {
-          fast_cost = fast.step(u);
-        } catch (const InvariantViolation& e) {
-          return engine_diverged(std::string("release engine threw: ") +
-                                 e.what());
-        }
-        std::string diff =
-            compare_counters(cost, fast_cost, cell.memory(), fast.memory());
-        if (diff.empty() && (i + 1) % layout_every == 0) {
-          diff = compare_layouts(cell.memory(), fast.memory());
-        }
-        if (!diff.empty()) return engine_diverged(diff);
-        if (config.release_tamper) config.release_tamper(fast.memory(), i);
+      if (!lockstep) continue;
+      Cell& subject = *subjects[t];
+      auto subject_diverged = [&](const std::string& what) {
+        FailureReport r;
+        r.kind = subject_kind;
+        r.allocator = cell.name();
+        r.update_index = i;
+        r.message = what;
+        return r;
+      };
+      double subject_cost = 0.0;
+      try {
+        subject_cost = subject.step(u);
+      } catch (const InvariantViolation& e) {
+        return subject_diverged(std::string(label) + " cell threw: " +
+                                e.what());
       }
-      if (config.lockstep_arena) {
-        ArenaCell& arena = *arena_cells[t];
-        auto arena_diverged = [&](const std::string& what) {
-          FailureReport r;
-          r.kind = FailureKind::kArenaDivergence;
-          r.allocator = cell.name();
-          r.update_index = i;
-          r.message = what;
-          return r;
-        };
-        double arena_cost = 0.0;
-        try {
-          arena_cost = arena.step(u);
-        } catch (const InvariantViolation& e) {
-          return arena_diverged(std::string("arena cell threw: ") + e.what());
-        }
-        std::string diff = compare_counters(cost, arena_cost, cell.memory(),
-                                            arena.memory(), "arena");
-        if (diff.empty()) diff = check_byte_bound(arena.arena());
-        if (diff.empty() && (i + 1) % layout_every == 0) {
-          diff = compare_layouts(cell.memory(), arena.memory(), "arena");
-        }
-        if (!diff.empty()) return arena_diverged(diff);
+      std::string diff = compare_counters(cost, subject_cost, cell.memory(),
+                                          subject.memory(), label);
+      if (diff.empty() && arena) diff = check_byte_bound(*subject.arena());
+      if (diff.empty() && (i + 1) % layout_every == 0) {
+        diff = compare_layouts(cell.memory(), subject.memory(), label);
+      }
+      if (!diff.empty()) return subject_diverged(diff);
+      if (config.release_tamper) {
+        // Checked above: the subject is a release cell, whose top store
+        // is the SlabStore.
+        config.release_tamper(static_cast<SlabStore&>(subject.memory()), i);
       }
     }
   }
 
   for (std::size_t t = 0; t < cells.size(); ++t) {
-    ValidatedCell& cell = *cells[t];
-    if (config.lockstep_release) {
-      ReleaseCell& fast = *release_cells[t];
-      std::string diff = compare_layouts(cell.memory(), fast.memory());
+    Cell& cell = *cells[t];
+    if (lockstep) {
+      Cell& subject = *subjects[t];
+      std::string diff =
+          compare_layouts(cell.memory(), subject.memory(), label);
       if (diff.empty()) {
         try {
-          fast.audit();
+          subject.audit();  // includes the full payload-stamp sweep
         } catch (const InvariantViolation& e) {
-          diff = std::string("release store failed its final audit: ") +
+          diff = std::string(label) + " cell failed its final audit: " +
                  e.what();
         }
       }
       if (!diff.empty()) {
         FailureReport r;
-        r.kind = FailureKind::kEngineDivergence;
-        r.allocator = cell.name();
-        r.update_index = seq.updates.size();
-        r.message = diff;
-        return r;
-      }
-    }
-    if (config.lockstep_arena) {
-      ArenaCell& arena = *arena_cells[t];
-      std::string diff = compare_layouts(cell.memory(), arena.memory(),
-                                         "arena");
-      if (diff.empty()) {
-        try {
-          arena.audit();  // includes the full payload-stamp sweep
-        } catch (const InvariantViolation& e) {
-          diff = std::string("arena cell failed its final audit: ") +
-                 e.what();
-        }
-      }
-      if (!diff.empty()) {
-        FailureReport r;
-        r.kind = FailureKind::kArenaDivergence;
+        r.kind = subject_kind;
         r.allocator = cell.name();
         r.update_index = seq.updates.size();
         r.message = diff;
@@ -289,8 +256,7 @@ std::optional<FailureReport> run_differential(
       }
     }
     try {
-      cell.memory().audit();
-      cell.allocator().check_invariants();
+      cell.audit();
     } catch (const InvariantViolation& e) {
       FailureReport r;
       r.kind = FailureKind::kInvariantViolation;
@@ -299,7 +265,7 @@ std::optional<FailureReport> run_differential(
       r.message = e.what();
       return r;
     }
-    const double observed = cell.engine().stats().ratio_cost();
+    const double observed = cell.stats().ratio_cost();
     const double bound =
         config.targets[t].budget.bound(seq.eps) * config.budget_slack;
     if (observed > bound) {

@@ -11,13 +11,13 @@
 //     live item count and live mass after every update, every insert must
 //     move at least the inserted mass (the item's bytes get written), and
 //     span may never undercut live mass.
-//   * kEngineDivergence — with lockstep_release set, each target also
-//     runs on the unchecked release engine (SlabStore + ReleaseEngine);
-//     any difference from the validated cell in per-update cost, O(1)
-//     model counters, or (at audit cadence and run end) the full layout
-//     is a release fast-path bug.
-//   * kArenaDivergence — with lockstep_arena set, each target also runs
-//     on a byte-backed arena cell; tick costs and layouts must match the
+//   * kEngineDivergence — with engine "release", each target also runs
+//     on a release cell (SlabStore, no per-update model validation); any
+//     difference from the validated cell in per-update cost, O(1) model
+//     counters, or (at audit cadence and run end) the full layout is a
+//     release fast-path bug.
+//   * kArenaDivergence — with engine "arena", each target also runs on a
+//     byte-backed arena cell; tick costs and layouts must match the
 //     validated cell exactly, payload stamps must verify, and the byte
 //     traffic must sit inside the granule's rounding bound.
 //
@@ -64,23 +64,21 @@ struct DifferentialConfig {
   std::size_t audit_every = 64;
   /// Allocator self-check cadence.
   std::size_t check_invariants_every = 16;
-  /// Also run every target on the release engine in lockstep with its
-  /// validated cell; any cost/counter/layout difference is reported as
-  /// kEngineDivergence (layouts are compared at audit_every cadence and
-  /// at run end, counters and costs at every update).
-  bool lockstep_release = false;
-  /// Test hook, lockstep_release only: invoked on each target's release
+  /// The stack every target also runs on in lockstep with its validated
+  /// cell (FuzzConfig::engine): "validated" runs no second cell;
+  /// "release" reports any cost/counter/layout difference from a release
+  /// cell as kEngineDivergence; "arena" reports any tick-cost or layout
+  /// difference, failed payload-stamp verification, or byte traffic
+  /// outside the granule's rounding bound of an arena cell as
+  /// kArenaDivergence.  Costs and counters are compared at every update,
+  /// layouts at audit_every cadence and at run end.
+  std::string engine = "validated";
+  /// Test hook, engine "release" only: invoked on each target's release
   /// SlabStore after every update (post-comparison, so damage surfaces at
   /// the next checkpoint).  Lets tests plant slab corruption and prove
   /// the oracle catches and shrinks it; must be deterministic for a given
   /// sequence or shrinking will not reproduce.
   std::function<void(SlabStore&, std::size_t update_index)> release_tamper;
-  /// Also run every target on a byte-backed arena cell (src/arena) in
-  /// lockstep with its validated cell; any per-update tick-cost
-  /// difference, layout difference (at audit cadence and run end), failed
-  /// payload-stamp verification, or byte traffic outside the granule's
-  /// rounding bound is reported as kArenaDivergence.
-  bool lockstep_arena = false;
   /// Granule of the lockstep arena cells.
   Tick arena_bytes_per_tick = 8;
 };

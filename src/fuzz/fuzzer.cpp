@@ -78,8 +78,7 @@ DifferentialConfig make_differential_config(const TargetGroup& group,
   d.budget_slack = cfg.budget_slack;
   d.audit_every = cfg.audit_every;
   d.check_invariants_every = cfg.check_invariants_every;
-  d.lockstep_release = cfg.engine == "release";
-  d.lockstep_arena = cfg.engine == "arena";
+  d.engine = cfg.engine;
   d.targets.reserve(group.members.size());
   for (const AllocatorInfo& info : group.members) {
     FuzzTarget t;
@@ -281,8 +280,7 @@ FuzzSummary replay_corpus(const FuzzConfig& cfg, const std::string& dir) {
     dcfg.budget_slack = cfg.budget_slack;
     dcfg.audit_every = cfg.audit_every;
     dcfg.check_invariants_every = cfg.check_invariants_every;
-    dcfg.lockstep_release = cfg.engine == "release";
-    dcfg.lockstep_arena = cfg.engine == "arena";
+    dcfg.engine = cfg.engine;
     const std::uint64_t iseed = iteration_seed(entry.seed, entry.iteration);
     const bool have_target =
         std::find(known.begin(), known.end(), entry.allocator) != known.end();

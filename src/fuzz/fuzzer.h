@@ -44,7 +44,7 @@ struct FuzzConfig {
   std::string scenario;
   Tick capacity = Tick{1} << 40;
   /// "validated" fuzzes the validating cells alone; "release" additionally
-  /// runs every target on the release engine in lockstep and reports any
+  /// runs every target on a release cell in lockstep and reports any
   /// cost/counter/layout difference as engine-divergence (harness/cell.h
   /// engine_names()); "arena" instead locksteps each target against a
   /// byte-backed arena cell (payload stamps, memmove traffic, rounding

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <mutex>
 
-#include "harness/validated_run.h"
+#include "harness/cell.h"
 #include "util/check.h"
 #include "util/parallel.h"
 #include "util/stats.h"

@@ -302,7 +302,8 @@ class MetricRegistry {
 // all pointers are either set (metrics wired) or null (observability off
 // for this object), so the hot-path guard is a single pointer test.
 
-// Per-cell (Engine / ReleaseEngine) instruments.
+// Per-cell instruments: the Engine every Cell runs (harness/cell.h)
+// updates them alongside RunStats, whatever the cell's store.
 struct CellMetrics {
   Counter* updates = nullptr;
   Counter* inserts = nullptr;

@@ -1,60 +1,12 @@
-// The release fast-path engine: drives an allocator through an update
-// sequence against a SlabStore with no per-update validation — the exact
-// transaction bracketing and RunStats accounting of Engine, minus every
-// check.  The hot loop is devirtualized (concrete SlabStore&) and run()
-// applies updates in fixed-size batches.
-//
-// Correctness is NOT established here: the lockstep differential suite
-// (ctest -L release) proves ReleaseEngine bit-identical to the validated
-// Engine — layouts, per-update costs, and RunStats — for every registry
-// allocator, and memreal_fuzz --engine release soaks the same equivalence
-// on every fuzz campaign.
+// Release cells run the one Engine over a SlabStore (harness/cell.h).
+// This alias keeps the older ReleaseEngine spelling compiling; new code
+// names Engine.
 #pragma once
 
-#include <cstddef>
-#include <span>
-
-#include "core/allocator.h"
-#include "core/run_stats.h"
-#include "core/update.h"
-#include "obs/metrics.h"
-#include "release/slab_store.h"
+#include "core/engine.h"
 
 namespace memreal {
 
-struct ReleaseEngineOptions {
-  /// Updates applied per batch in run(); a batch is one tight inner loop
-  /// with no per-update branching beyond the allocator calls.
-  std::size_t batch_size = 1024;
-  /// Observability instruments for this cell (null pointers = off).
-  obs::CellMetrics metrics;
-};
-
-class ReleaseEngine {
- public:
-  ReleaseEngine(SlabStore& store, Allocator& allocator,
-                ReleaseEngineOptions options = {});
-
-  /// Applies all updates in batches and returns the accumulated
-  /// statistics (bit-identical to Engine::run on the deterministic
-  /// fields; wall/decision seconds are measured, not replayed).
-  RunStats run(std::span<const Update> updates);
-
-  /// Applies a single update and returns its cost L/k.
-  double step(const Update& update);
-
-  [[nodiscard]] const RunStats& stats() const { return stats_; }
-  [[nodiscard]] SlabStore& store() { return *store_; }
-  [[nodiscard]] Allocator& allocator() { return *allocator_; }
-
- private:
-  /// The unchecked per-update kernel shared by step() and run().
-  Tick apply(const Update& update);
-
-  SlabStore* store_;
-  Allocator* allocator_;
-  ReleaseEngineOptions options_;
-  RunStats stats_;
-};
+using ReleaseEngine = Engine;
 
 }  // namespace memreal

@@ -149,8 +149,8 @@ class SlabStore final : public LayoutStore {
 
   /// Full O(n log n) structural check: SoA/map/index/span consistency,
   /// extent disjointness, mass totals, policy-gated span and load bounds.
-  /// Never runs implicitly — the release engine calls it only at run end
-  /// (and the fuzz oracle when judging a failure).
+  /// Never runs implicitly — a release cell's audit() calls it, which
+  /// drivers do at run end (and the fuzz oracle when judging a failure).
   void audit() const override;
 
   [[nodiscard]] ValidationPolicy& policy() override { return policy_; }

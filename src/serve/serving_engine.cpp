@@ -168,7 +168,7 @@ std::vector<unsigned char> ServingEngine::payload_of(ItemId id) {
   }
   if (!s) return {};
   std::shared_lock<std::shared_mutex> lock(*shard_mu_[*s]);
-  auto* arena = dynamic_cast<ArenaStore*>(&base_.memory(*s));
+  ArenaStore* arena = base_.cell(*s).arena();
   if (arena == nullptr || !arena->contains(id)) return {};
   const std::span<const unsigned char> bytes = arena->payload(id);
   return {bytes.begin(), bytes.end()};

@@ -2,7 +2,7 @@
 //
 // The paper's allocators each manage ONE contiguous cell [0, capacity).
 // ShardedEngine scales that out the way production reallocators do: it
-// owns S independent (Memory, Allocator, Engine) cells, routes every item
+// owns S independent Cells (harness/cell.h), routes every item
 // to a cell via a pluggable Router policy, and applies update batches in
 // parallel on a ThreadPool — one task per shard, each task replaying that
 // shard's sub-sequence in global order.
@@ -22,9 +22,9 @@
 //   * With the default "validated" engine every cell keeps the full
 //     validation stack (incremental per-update checks, optional audit
 //     cadence, allocator self-checks) — a sharded run is as verified as S
-//     single-cell runs.  With engine = "release" the cells run the
-//     unchecked SlabStore fast path (harness/cell.h); audit() remains an
-//     explicit full check.
+//     single-cell runs.  With engine = "release" the cells run over the
+//     SlabStore, which skips per-update model validation; audit() remains
+//     an explicit full check.
 //
 // With S = 1 and the same allocator seed, ShardedEngine is update-for-
 // update identical to a plain Engine run: one shard, every update routed
@@ -56,7 +56,7 @@
 namespace memreal {
 
 struct ShardedConfig {
-  /// Cell engine flavor for every shard: "validated" or "release" (see
+  /// Cell engine for every shard: "validated" or "release" (see
   /// harness/cell.h).
   std::string engine = "validated";
   std::string allocator;   ///< registry name, used for every cell

@@ -28,13 +28,12 @@
 
 #include "alloc/registry.h"
 #include "arena/arena_allocator.h"
-#include "arena/arena_cell.h"
 #include "arena/arena_store.h"
 #include "arena/byte_space.h"
 #include "fuzz/differential.h"
 #include "fuzz/fuzzer.h"
 #include "harness/cell.h"
-#include "harness/validated_run.h"
+#include "harness/cell.h"
 #include "shard/sharded_engine.h"
 #include "testing.h"
 #include "util/check.h"
@@ -101,7 +100,7 @@ TEST(ByteSpace, RoundingBoundInequality) {
   }
 }
 
-// -- ArenaStore via ArenaCell ------------------------------------------------
+// -- ArenaStore via an arena Cell -------------------------------------------
 
 CellConfig arena_config(const std::string& allocator, double eps,
                         Tick bytes_per_tick = 8) {
@@ -115,9 +114,9 @@ CellConfig arena_config(const std::string& allocator, double eps,
 }
 
 TEST(ArenaStore, InsertStampsDeterministicPayload) {
-  ArenaCell cell(1024, 16, arena_config("folklore-compact", 1.0 / 64));
+  Cell cell(1024, 16, arena_config("folklore-compact", 1.0 / 64));
   cell.step(Update::insert(7, 4, 25));  // 25 bytes -> 4 ticks at granule 8
-  const ArenaStore& store = cell.arena();
+  const ArenaStore& store = *cell.arena();
   EXPECT_EQ(store.bytes_of(7), 25u);
   const std::span<const unsigned char> p = store.payload(7);
   ASSERT_EQ(p.size(), 25u);
@@ -128,23 +127,23 @@ TEST(ArenaStore, InsertStampsDeterministicPayload) {
 }
 
 TEST(ArenaStore, TickNativeInsertGetsFullGranulePayload) {
-  ArenaCell cell(1024, 16, arena_config("folklore-compact", 1.0 / 64));
+  Cell cell(1024, 16, arena_config("folklore-compact", 1.0 / 64));
   cell.step(Update::insert(1, 3));  // no size_bytes: tick-native
-  EXPECT_EQ(cell.arena().bytes_of(1), 24u);
+  EXPECT_EQ(cell.arena()->bytes_of(1), 24u);
 }
 
 TEST(ArenaStore, StagedBytesMustRoundToTickSize) {
-  ArenaCell cell(1024, 16, arena_config("folklore-compact", 1.0 / 64));
+  Cell cell(1024, 16, arena_config("folklore-compact", 1.0 / 64));
   // 9 bytes round to 2 ticks, not 1.
   expect_throw_contains([&] { cell.step(Update::insert(1, 1, 9)); },
                         "rounds to");
 }
 
 TEST(ArenaStore, PayloadCorruptionIsCaughtByAudit) {
-  ArenaCell cell(1024, 16, arena_config("folklore-compact", 1.0 / 64));
+  Cell cell(1024, 16, arena_config("folklore-compact", 1.0 / 64));
   cell.step(Update::insert(1, 2, 16));
   cell.step(Update::insert(2, 2, 11));
-  const std::span<const unsigned char> p = cell.arena().payload(2);
+  const std::span<const unsigned char> p = cell.arena()->payload(2);
   // The store only hands out const views; the test plants the corruption
   // a buggy memmove would leave behind.
   const_cast<unsigned char&>(p[5]) ^= 0xFF;
@@ -157,9 +156,9 @@ TEST(ArenaStore, CorruptionIsCaughtWhenTheVictimNextMoves) {
   // folklore-compact compacts once waste exceeds eps/2 (here 8 ticks):
   // corrupting the last item and deleting enough predecessors forces a
   // verified relocation of the victim.
-  ArenaCell cell(1024, 16, arena_config("folklore-compact", 1.0 / 64));
+  Cell cell(1024, 16, arena_config("folklore-compact", 1.0 / 64));
   for (ItemId id = 1; id <= 5; ++id) cell.step(Update::insert(id, 3, 24));
-  const std::span<const unsigned char> p = cell.arena().payload(5);
+  const std::span<const unsigned char> p = cell.arena()->payload(5);
   const_cast<unsigned char&>(p[0]) ^= 0x01;
   cell.step(Update::erase(1, 3, 24));  // waste 3: no compaction yet
   cell.step(Update::erase(2, 3, 24));  // waste 6: still none
@@ -171,16 +170,16 @@ TEST(ArenaStore, CorruptionIsCaughtWhenTheVictimNextMoves) {
 TEST(ArenaStore, VerifyPayloadsOffStillCountsBytes) {
   CellConfig c = arena_config("folklore-compact", 1.0 / 64);
   c.verify_payloads = false;
-  ArenaCell cell(1024, 16, c);
+  Cell cell(1024, 16, c);
   cell.step(Update::insert(1, 2, 16));
-  const std::span<const unsigned char> p = cell.arena().payload(1);
+  const std::span<const unsigned char> p = cell.arena()->payload(1);
   const_cast<unsigned char&>(p[0]) ^= 0x01;
   cell.audit();  // no payload sweep in bandwidth mode
-  EXPECT_EQ(cell.arena().total_bytes_moved(), 16u);
+  EXPECT_EQ(cell.arena()->total_bytes_moved(), 16u);
 }
 
 TEST(ArenaStore, MovedBytesChannelReachesRunStats) {
-  ArenaCell cell(1024, 16, arena_config("folklore-compact", 1.0 / 64));
+  Cell cell(1024, 16, arena_config("folklore-compact", 1.0 / 64));
   cell.step(Update::insert(1, 2, 16));  // stamps 16 bytes
   cell.step(Update::insert(2, 2, 13));  // stamps 13 bytes
   EXPECT_EQ(cell.stats().moved_bytes, 16u + 13u);
@@ -192,9 +191,9 @@ TEST(ArenaStore, MovedBytesChannelReachesRunStats) {
   cell.step(Update::insert(3, 2, 10));
   const RunStats& stats = cell.stats();
   EXPECT_EQ(stats.moved_bytes, 16u + 13u + 10u);
-  EXPECT_EQ(stats.moved_bytes, cell.arena().total_bytes_moved());
+  EXPECT_EQ(stats.moved_bytes, cell.arena()->total_bytes_moved());
   // Per-update byte costs mirror the cumulative channel.
-  EXPECT_EQ(cell.arena().last_update_bytes(), 10u);
+  EXPECT_EQ(cell.arena()->last_update_bytes(), 10u);
 }
 
 // -- The tick-vs-byte differential over every registry allocator -------------
@@ -234,9 +233,9 @@ void arena_lockstep(const std::string& allocator, const Sequence& seq,
   CellConfig release_arena = with_arena;
   release_arena.engine = "release";
 
-  ValidatedCell base(seq.capacity, seq.eps_ticks, plain);
-  ArenaCell arena_v(seq.capacity, seq.eps_ticks, with_arena);
-  ArenaCell arena_r(seq.capacity, seq.eps_ticks, release_arena);
+  Cell base(seq.capacity, seq.eps_ticks, plain);
+  Cell arena_v(seq.capacity, seq.eps_ticks, with_arena);
+  Cell arena_r(seq.capacity, seq.eps_ticks, release_arena);
 
   for (std::size_t i = 0; i < seq.updates.size(); ++i) {
     const Update& u = seq.updates[i];
@@ -269,13 +268,13 @@ void arena_lockstep(const std::string& allocator, const Sequence& seq,
   base.audit();
   arena_v.audit();  // includes the full payload sweep
   arena_r.audit();
-  expect_byte_bound(arena_v.arena(), allocator + " validated inner");
-  expect_byte_bound(arena_r.arena(), allocator + " release inner");
+  expect_byte_bound(*arena_v.arena(), allocator + " validated inner");
+  expect_byte_bound(*arena_r.arena(), allocator + " release inner");
   // Identical placements must produce identical physical traffic.
-  EXPECT_EQ(arena_v.arena().total_bytes_moved(),
-            arena_r.arena().total_bytes_moved());
+  EXPECT_EQ(arena_v.arena()->total_bytes_moved(),
+            arena_r.arena()->total_bytes_moved());
   EXPECT_EQ(arena_v.stats().moved_bytes,
-            arena_v.arena().total_bytes_moved());
+            arena_v.arena()->total_bytes_moved());
 }
 
 // Arena-scale stand-in for the mixed tiny/large regime.  The stock
@@ -372,17 +371,17 @@ TEST(ArenaDifferential, CoarseGranuleStillMatches) {
     CellConfig with_arena = plain;
     with_arena.arena = true;
     with_arena.bytes_per_tick = bpt;
-    ValidatedCell base(seq.capacity, seq.eps_ticks, plain);
-    ArenaCell arena(seq.capacity, seq.eps_ticks, with_arena);
+    Cell base(seq.capacity, seq.eps_ticks, plain);
+    Cell arena(seq.capacity, seq.eps_ticks, with_arena);
     for (const Update& u : seq.updates) {
       ASSERT_EQ(base.step(u), arena.step(u));
     }
     expect_same_layout(base.memory(), arena.memory(), "final");
     arena.audit();
-    expect_byte_bound(arena.arena(), "granule " + std::to_string(bpt));
+    expect_byte_bound(*arena.arena(), "granule " + std::to_string(bpt));
     if (bpt == 1) {
       // One byte per tick: the bound collapses to exact equality.
-      EXPECT_EQ(arena.arena().total_bytes_moved(),
+      EXPECT_EQ(arena.arena()->total_bytes_moved(),
                 arena.memory().total_moved());
     }
   }
@@ -468,10 +467,10 @@ TEST(VmHeap, ReplaysThroughAnArenaCellInLockstep) {
   // Odd payload sizes mean the byte traffic sits strictly inside the
   // bound's interior, not pinned at L * bpt.
   CellConfig c = arena_config("folklore-compact", seq.eps);
-  ArenaCell cell(seq.capacity, seq.eps_ticks, c);
+  Cell cell(seq.capacity, seq.eps_ticks, c);
   cell.run(seq.updates);
   cell.audit();
-  EXPECT_LT(cell.arena().total_bytes_moved(),
+  EXPECT_LT(cell.arena()->total_bytes_moved(),
             cell.memory().total_moved() * 8);
 }
 
@@ -718,7 +717,7 @@ TEST(ArenaFuzz, LockstepArenaOracleAcceptsHealthySequences) {
   const Sequence seq = testing::regime_sequence(
       testing::regime_case("simple"), kCap, 400, 11);
   DifferentialConfig d;
-  d.lockstep_arena = true;
+  d.engine = "arena";
   FuzzTarget t;
   t.allocator = "simple";
   t.params.eps = seq.eps;

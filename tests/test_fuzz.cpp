@@ -618,7 +618,7 @@ TEST(ReleaseOracle, HealthyGroupPassesInLockstep) {
   Rng rng(11);
   const Sequence seq = generate_sequence(gen, rng, "release-healthy");
   DifferentialConfig cfg = healthy_group();
-  cfg.lockstep_release = true;
+  cfg.engine = "release";
   EXPECT_FALSE(run_differential(seq, cfg).has_value());
 }
 
@@ -637,7 +637,7 @@ TEST(ReleaseOracle, PlantedSlabCorruptionIsCaughtAndShrunkSmall) {
   t.params.seed = 42;
   t.budget = allocator_info("simple").budget;
   cfg.targets.push_back(std::move(t));
-  cfg.lockstep_release = true;
+  cfg.engine = "release";
   cfg.audit_every = 8;  // tight layout-compare cadence for a small repro
   // Stateless tamper (shrink candidates replay it identically): shift the
   // lowest item's offset whenever at least three items are live — the SoA

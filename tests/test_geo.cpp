@@ -9,7 +9,6 @@
 
 #include "alloc/geo.h"
 #include "mem/memory.h"
-#include "release/release_engine.h"
 #include "release/slab_store.h"
 #include "testing.h"
 #include "workload/adversarial.h"
@@ -389,8 +388,7 @@ TEST(GeoPin, MemoryRunIsBitIdentical) {
 }
 
 TEST(GeoPin, SlabStoreRunIsBitIdentical) {
-  const GeoRunDigest d =
-      pinned_geo_run<SlabStore, ReleaseEngine>(pin_sequence());
+  const GeoRunDigest d = pinned_geo_run<SlabStore, Engine>(pin_sequence());
   EXPECT_EQ(d.hash, kPinnedHash);
   EXPECT_EQ(d.level_rebuilds, kPinnedRebuilds);
   EXPECT_EQ(d.waste_recoveries, kPinnedRecoveries);

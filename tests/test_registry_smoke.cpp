@@ -67,6 +67,34 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, RegistrySmokePerEngine,
                          ::testing::ValuesIn(engine_names()),
                          [](const auto& info) { return info.param; });
 
+// A registry band's edges must be sizes its allocator accepts at every eps
+// it serves, not only where eps * capacity is an integer.  At eps 0.01 and
+// 2^40 ticks, eps * capacity = 10995116277.76: SIMPLE builds [eps, 2eps)
+// from the floored eps tick count, so the profile must floor the same way
+// before doubling.
+TEST(RegistrySmoke, BandEdgesInsertAtNonDyadicEps) {
+  constexpr Tick kCapacity = Tick{1} << 40;
+  std::size_t checked = 0;
+  for (const AllocatorInfo& info : allocator_infos()) {
+    for (const double eps : {0.01, 0.03}) {
+      const WorkloadShape band = info.sizes.shape(eps, kCapacity);
+      if (!info.serves(band, eps, kCapacity)) continue;
+      for (const Tick size : {band.min_size, band.max_size}) {
+        SCOPED_TRACE(info.name + " at eps " + std::to_string(eps) +
+                     ", size " + std::to_string(size));
+        CellConfig c;
+        c.allocator = info.name;
+        c.params.eps = eps;
+        Cell cell(kCapacity, Eps::of(eps, kCapacity).ticks, c);
+        EXPECT_NO_THROW(cell.step(Update::insert(1, size)));
+        EXPECT_NO_THROW(cell.audit());
+      }
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 2u);  // SIMPLE at both eps values, at least
+}
+
 TEST(RegistrySmoke, UnknownAllocatorErrorListsRegisteredNames) {
   for (const auto* lookup : {"factory", "info"}) {
     SCOPED_TRACE(lookup);

@@ -1,7 +1,7 @@
 // Lockstep differential suite for the release engine (ctest -L release).
 //
-// The release fast path (SlabStore + ReleaseEngine) performs no per-update
-// validation — THESE tests are its correctness story.  Every registry
+// The release fast path (Engine over a SlabStore) performs no per-update
+// model validation — THESE tests are its correctness story.  Every registry
 // allocator is driven through identical sequences on a validated cell and
 // a release cell in lockstep, asserting:
 //
@@ -24,9 +24,7 @@
 
 #include "alloc/registry.h"
 #include "harness/cell.h"
-#include "harness/validated_run.h"
 #include "mem/memory.h"
-#include "release/release_cell.h"
 #include "release/slab_store.h"
 #include "shard/sharded_engine.h"
 #include "testing.h"
@@ -93,10 +91,10 @@ CellConfig cell_config(const std::string& engine,
 void lockstep(const std::string& allocator, const Sequence& seq,
               double delta = 0.0) {
   seq.check_well_formed();
-  ValidatedCell validated(seq.capacity, seq.eps_ticks,
-                          cell_config("validated", allocator, seq, delta));
-  ReleaseCell release(seq.capacity, seq.eps_ticks,
-                      cell_config("release", allocator, seq, delta));
+  Cell validated(seq.capacity, seq.eps_ticks,
+                 cell_config("validated", allocator, seq, delta));
+  Cell release(seq.capacity, seq.eps_ticks,
+               cell_config("release", allocator, seq, delta));
   for (std::size_t i = 0; i < seq.updates.size(); ++i) {
     const Update& u = seq.updates[i];
     const double vc = validated.step(u);
@@ -242,17 +240,51 @@ TEST(Lockstep, ShardedReleaseMatchesShardedValidated) {
   release.audit();
 }
 
+// Engine's usage checks are input validation, not model validation, so
+// they run on every store: a release cell, with or without an arena,
+// refuses a delete of an absent item or one whose size does not match,
+// names the id, and leaves the store untouched.
+TEST(UsageChecks, ReleaseCellsRefuseMalformedDeletes) {
+  auto expect_refusal = [](Cell& cell, const Update& u,
+                           const std::string& substr) {
+    try {
+      cell.step(u);
+      ADD_FAILURE() << "expected InvariantViolation containing '" << substr
+                    << "'";
+    } catch (const InvariantViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(substr), std::string::npos)
+          << "message was: " << e.what();
+    }
+  };
+  for (const bool arena : {false, true}) {
+    SCOPED_TRACE(arena ? "release+arena" : "release");
+    CellConfig c;
+    c.engine = "release";
+    c.allocator = "folklore-compact";
+    c.params.eps = 1.0 / 64;
+    c.arena = arena;
+    Cell cell(1024, 16, c);
+    cell.step(Update::insert(7, 20));
+    expect_refusal(cell, Update::erase(8, 20), "delete of absent item 8");
+    expect_refusal(cell, Update::erase(7, 21),
+                   "sequence size mismatch for item 7");
+    EXPECT_EQ(cell.stats().updates, 1u);
+    EXPECT_TRUE(cell.memory().contains(7));
+    cell.audit();
+  }
+}
+
 TEST(SlabStore, AuditCatchesPlantedCorruption) {
   const Sequence seq =
       make_simple_regime(kCap, 1.0 / 32, /*churn_updates=*/50, /*seed=*/7);
-  ReleaseCell cell(seq.capacity, seq.eps_ticks,
-                   cell_config("release", "folklore-compact", seq, 0.0));
+  Cell cell(seq.capacity, seq.eps_ticks,
+            cell_config("release", "folklore-compact", seq, 0.0));
   cell.run(seq.updates);
   cell.audit();  // healthy store passes
   ASSERT_GE(cell.memory().item_count(), 2u);
   // Shift the first item onto its right neighbor: the SoA record changes
   // but by_offset_/ends_ keep their stale view — exactly a slab bug.
-  cell.memory().debug_corrupt_first_offset(1);
+  static_cast<SlabStore&>(cell.memory()).debug_corrupt_first_offset(1);
   EXPECT_THROW(cell.memory().audit(), InvariantViolation);
 }
 

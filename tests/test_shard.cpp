@@ -6,7 +6,7 @@
 #include <set>
 #include <vector>
 
-#include "harness/validated_run.h"
+#include "harness/cell.h"
 #include "mem/memory.h"
 #include "shard/router.h"
 #include "shard/sharded_engine.h"
@@ -138,7 +138,7 @@ TEST_P(ShardedEquivalence, SingleShardMatchesPlainEngineExactly) {
   cell.allocator = allocator;
   cell.params.eps = kEps;
   cell.params.seed = 1;
-  ValidatedCell plain(seq, cell);
+  Cell plain(seq.capacity, seq.eps_ticks, cell);
   const RunStats plain_stats = plain.engine().run(seq.updates);
   plain.memory().audit();
 

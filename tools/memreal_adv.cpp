@@ -5,13 +5,13 @@
 // 2 = usage error.
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "alloc/registry.h"
+#include "cli.h"
 #include "perfadv/campaign.h"
 #include "perfadv/search.h"
 #include "perfadv/zoo.h"
@@ -22,6 +22,7 @@
 namespace {
 
 using namespace memreal;
+using namespace memreal::cli;
 
 constexpr const char* kUsage = R"(memreal_adv [options]
   --seed N           campaign seed (default 1)
@@ -72,33 +73,6 @@ std::vector<std::string> split_csv(const std::string& csv) {
     start = comma + 1;
   }
   return out;
-}
-
-[[noreturn]] void usage_error(const std::string& what) {
-  std::fprintf(stderr, "memreal_adv: %s (run with --help for usage)\n",
-               what.c_str());
-  std::exit(2);
-}
-
-std::uint64_t parse_u64(const std::string& flag, const char* value) {
-  if (value[0] == '-' || value[0] == '+') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  return v;
-}
-
-double parse_double(const std::string& flag, const char* value) {
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  return v;
 }
 
 void print_scenarios(const AdvCampaignConfig& cfg) {
@@ -162,6 +136,7 @@ int run_replay(const std::string& dir, double retain, bool json) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  set_tool("memreal_adv");
   AdvCampaignConfig cfg;
   bool list_scenarios = false;
   bool json = false;

@@ -3,13 +3,13 @@
 // found, 2 = usage error.
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "fuzz/fuzzer.h"
 #include "util/check.h"
 #include "util/table.h"
@@ -17,6 +17,7 @@
 namespace {
 
 using namespace memreal;
+using namespace memreal::cli;
 
 constexpr const char* kUsage = R"(memreal_fuzz [options]
   --seed N           campaign seed (default 1)
@@ -32,8 +33,8 @@ constexpr const char* kUsage = R"(memreal_fuzz [options]
                      each target's compatible scenarios, if any resolved
                      target cannot serve it
   --engine E         "validated" (default), "release", or "arena".
-                     release also runs every target on the unchecked
-                     release engine in lockstep and reports any
+                     release also runs every target on a release cell
+                     (SlabStore) in lockstep and reports any
                      cost/counter/layout difference as
                      engine-divergence; arena locksteps each target
                      against a byte-backed arena cell, checking payload
@@ -66,34 +67,6 @@ std::vector<std::string> split_csv(const std::string& csv) {
     start = comma + 1;
   }
   return out;
-}
-
-[[noreturn]] void usage_error(const std::string& what) {
-  std::fprintf(stderr, "memreal_fuzz: %s (run with --help for usage)\n",
-               what.c_str());
-  std::exit(2);
-}
-
-std::uint64_t parse_u64(const std::string& flag, const char* value) {
-  // strtoull would silently wrap negatives ("-1" -> 2^64-1); reject them.
-  if (value[0] == '-' || value[0] == '+') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  return v;
-}
-
-double parse_double(const std::string& flag, const char* value) {
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  return v;
 }
 
 void print_target_groups(const FuzzConfig& cfg) {
@@ -158,6 +131,7 @@ void print_failures(const FuzzSummary& summary, const FuzzConfig& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  set_tool("memreal_fuzz");
   FuzzConfig cfg;
   cfg.corpus_dir = "fuzz/corpus";
   bool list_only = false;

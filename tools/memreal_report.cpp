@@ -36,6 +36,7 @@
 #include <sstream>
 #include <string>
 
+#include "cli.h"
 #include "report/bench_data.h"
 #include "report/markdown.h"
 #include "report/verdict.h"
@@ -44,6 +45,7 @@
 namespace {
 
 using namespace memreal;
+using namespace memreal::cli;
 using namespace memreal::report;
 
 struct Options {
@@ -57,14 +59,6 @@ struct Options {
   double floor_ratio = 0.7;
   bool quiet = false;
 };
-
-[[noreturn]] void usage_error(const std::string& what) {
-  std::fprintf(stderr,
-               "memreal_report: %s (see the header of "
-               "tools/memreal_report.cpp for usage)\n",
-               what.c_str());
-  std::exit(2);
-}
 
 Options parse_args(int argc, char** argv) {
   Options o;
@@ -89,10 +83,8 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--shard-floor") {
       o.shard_floor_path = next();
     } else if (flag == "--floor-ratio") {
-      char* end = nullptr;
-      const char* v = next();
-      o.floor_ratio = std::strtod(v, &end);
-      if (end == v || *end != '\0' || o.floor_ratio <= 0.0) {
+      o.floor_ratio = parse_double(flag, next());
+      if (o.floor_ratio <= 0.0) {
         usage_error("--floor-ratio must be a positive number");
       }
     } else if (flag == "--quiet") {
@@ -225,6 +217,8 @@ int run(const Options& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  set_tool("memreal_report",
+           "see the header of tools/memreal_report.cpp for usage");
   const Options o = parse_args(argc, argv);
   try {
     return run(o);

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "alloc/registry.h"
+#include "cli.h"
 #include "obs/metrics.h"
 #include "perfadv/zoo.h"
 #include "serve/serving_engine.h"
@@ -39,6 +40,7 @@
 namespace {
 
 using namespace memreal;
+using namespace memreal::cli;
 
 constexpr const char* kUsage = R"(memreal_serve [options]
   --allocator NAME   registry allocator for every cell (default simple)
@@ -130,33 +132,6 @@ std::string git_describe() {
 #endif
 }
 
-[[noreturn]] void usage_error(const std::string& what) {
-  std::fprintf(stderr, "memreal_serve: %s (run with --help for usage)\n",
-               what.c_str());
-  std::exit(2);
-}
-
-std::uint64_t parse_u64(const std::string& flag, const char* value) {
-  if (value[0] == '-' || value[0] == '+') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  return v;
-}
-
-double parse_double(const std::string& flag, const char* value) {
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  return v;
-}
-
 std::vector<std::string> split_list(const std::string& flag,
                                     const char* value) {
   std::vector<std::string> out;
@@ -188,13 +163,7 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--allocator") {
       o.allocator = next();
     } else if (flag == "--engine") {
-      o.engine = next();
-      if (o.engine == "arena") {
-        o.engine = "validated";
-        o.arena = true;
-      } else if (o.engine != "validated" && o.engine != "release") {
-        usage_error("--engine must be 'validated', 'release', or 'arena'");
-      }
+      parse_engine(next(), o.engine, o.arena);
     } else if (flag == "--arena") {
       o.arena = true;
     } else if (flag == "--bytes-per-tick") {
@@ -977,6 +946,7 @@ int run(const Options& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  set_tool("memreal_serve");
   try {
     // parse_args looks the allocator up, which throws on unknown names.
     return run(parse_args(argc, argv));

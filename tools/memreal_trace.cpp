@@ -12,6 +12,7 @@
 #include <string>
 
 #include "alloc/registry.h"
+#include "cli.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/serving_engine.h"
@@ -26,6 +27,7 @@
 namespace {
 
 using namespace memreal;
+using namespace memreal::cli;
 
 constexpr const char* kUsage = R"(memreal_trace [options]
   --allocator NAME   registry allocator for every cell (default simple)
@@ -84,33 +86,6 @@ struct Options {
   bool quiet = false;
 };
 
-[[noreturn]] void usage_error(const std::string& what) {
-  std::fprintf(stderr, "memreal_trace: %s (run with --help for usage)\n",
-               what.c_str());
-  std::exit(2);
-}
-
-std::uint64_t parse_u64(const std::string& flag, const char* value) {
-  if (value[0] == '-' || value[0] == '+') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  return v;
-}
-
-double parse_double(const std::string& flag, const char* value) {
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0') {
-    usage_error("bad value '" + std::string(value) + "' for " + flag);
-  }
-  return v;
-}
-
 Options parse_args(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
@@ -125,13 +100,7 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--allocator") {
       o.allocator = next();
     } else if (flag == "--engine") {
-      o.engine = next();
-      if (o.engine == "arena") {
-        o.engine = "validated";
-        o.arena = true;
-      } else if (o.engine != "validated" && o.engine != "release") {
-        usage_error("--engine must be 'validated', 'release', or 'arena'");
-      }
+      parse_engine(next(), o.engine, o.arena);
     } else if (flag == "--arena") {
       o.arena = true;
     } else if (flag == "--workload") {
@@ -342,6 +311,7 @@ int run(const Options& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  set_tool("memreal_trace");
   const Options o = parse_args(argc, argv);
   try {
     return run(o);

@@ -10,8 +10,12 @@
 //   T-SHARD-T — thread scaling at S = 8: T = 1, 2, 4, ..., cores.  The
 //               acceptance bar for the subsystem: updates/sec increases
 //               from 1 thread to all cores (on multi-core hosts).
+// Then two T-REL head-to-heads (S = 1, one thread, release vs validated
+// engine): SIMPLE on a dense cell, whose compactions never reorder items,
+// and GEO, whose level rebuilds reorder a suffix of memory on every
+// update and so exercise the release store's reorder path.
 //
-// Both sweeps are emitted to BENCH_shard.json via BenchJson, then a small
+// Everything is emitted to BENCH_shard.json via BenchJson, then a small
 // google-benchmark section measures the same configurations.
 #include <benchmark/benchmark.h>
 
@@ -36,6 +40,10 @@ constexpr Tick kShardCapacity = Tick{1} << 34;
 /// validation work, which scales with moved mass — rather than the fixed
 /// per-update engine overhead that dominates a near-empty cell.
 constexpr double kRelEps = 1.0 / 1024;
+
+/// Full mode holds every GEO head-to-head point to at least this much wall
+/// time, so the ratio measures steady state rather than start-up.
+constexpr double kMinPointSeconds = 0.2;
 
 std::size_t cores() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -114,6 +122,45 @@ void add_row(Table& t, const Point& p) {
              Table::num(p.stats.imbalance(), 3)});
 }
 
+/// Release vs validated engine on one cell (S = 1, one thread) over the
+/// same sequence: prints the table and the ratio, returns the T-REL
+/// record for `series`.
+Json engine_head_to_head(const std::string& allocator, const Sequence& seq,
+                         double eps, const std::string& series,
+                         const std::string& workload) {
+  Json rec = series_record("engine_throughput", "T-REL", series);
+  rec.set("allocator", allocator);
+  rec.set("workload", workload);
+  Json rows = Json::array();
+  Table by_engine({"engine", "shards", "threads", "updates", "wall_s",
+                   "updates/s", "mean_cost", "imbalance"});
+  double validated_rate = 0.0;
+  double release_rate = 0.0;
+  for (const std::string& engine : engine_names()) {
+    const Point p = measure(allocator, seq, 1, 1, engine, eps);
+    by_engine.add_row({engine, std::to_string(p.shards),
+                       std::to_string(p.threads),
+                       std::to_string(p.stats.global.updates),
+                       Table::num(p.stats.global.wall_seconds, 4),
+                       Table::num(p.stats.updates_per_second(), 6),
+                       Table::num(p.stats.global.mean_cost(), 4),
+                       Table::num(p.stats.imbalance(), 3)});
+    Json row = point_row(p);
+    row.set("engine", engine);
+    rows.push(std::move(row));
+    if (engine == "validated") validated_rate = p.stats.updates_per_second();
+    if (engine == "release") release_rate = p.stats.updates_per_second();
+  }
+  rec.set("rows", std::move(rows));
+  by_engine.print(std::cout);
+  std::cout << "release / validated updates-per-second ratio at S = 1 ("
+            << allocator << "): "
+            << Table::num(validated_rate > 0 ? release_rate / validated_rate
+                                             : 0.0, 3)
+            << "x\n";
+  return rec;
+}
+
 void print_experiment() {
   const bool fast = fast_mode();
   const std::string allocator = "simple";
@@ -176,39 +223,26 @@ void print_experiment() {
                "the unchecked release engine (slab store, no per-update "
                "validation) vs the validated engine, updates/sec head to "
                "head.");
-  const Sequence seq1 = shard_workload(allocator, 1, updates, 1, kRelEps);
-  Json rel_rec = series_record("engine_throughput", "T-REL",
-                               "engine-throughput");
-  rel_rec.set("allocator", allocator);
-  rel_rec.set("workload",
-              "uniform churn, load 0.8, eps 1/1024, S = 1, 1 thread");
-  Json rel_rows = Json::array();
-  Table by_engine({"engine", "shards", "threads", "updates", "wall_s",
-                   "updates/s", "mean_cost", "imbalance"});
-  double validated_rate = 0.0;
-  double release_rate = 0.0;
-  for (const std::string engine : engine_names()) {
-    const Point p = measure(allocator, seq1, 1, 1, engine, kRelEps);
-    by_engine.add_row({engine, std::to_string(p.shards),
-                       std::to_string(p.threads),
-                       std::to_string(p.stats.global.updates),
-                       Table::num(p.stats.global.wall_seconds, 4),
-                       Table::num(p.stats.updates_per_second(), 6),
-                       Table::num(p.stats.global.mean_cost(), 4),
-                       Table::num(p.stats.imbalance(), 3)});
-    Json row = point_row(p);
-    row.set("engine", engine);
-    rel_rows.push(std::move(row));
-    if (engine == "validated") validated_rate = p.stats.updates_per_second();
-    if (engine == "release") release_rate = p.stats.updates_per_second();
+  artifact.add(engine_head_to_head(
+      allocator, shard_workload(allocator, 1, updates, 1, kRelEps), kRelEps,
+      "engine-throughput",
+      "uniform churn, load 0.8, eps 1/1024, S = 1, 1 thread"));
+
+  print_header("T-REL — engine throughput on GEO (S = 1, single thread)",
+               "Churn at eps = 1/64: every GEO update rebuilds a level, "
+               "which reorders a suffix of memory, so this measures the "
+               "release store's reorder path.");
+  std::size_t geo_updates = fast ? 2'000 : 10'000;
+  Sequence geo_seq = shard_workload("geo", 1, geo_updates, 1);
+  while (!fast && measure("geo", geo_seq, 1, 1, "release")
+                          .stats.global.wall_seconds < kMinPointSeconds) {
+    geo_updates *= 2;
+    geo_seq = shard_workload("geo", 1, geo_updates, 1);
   }
-  rel_rec.set("rows", std::move(rel_rows));
-  artifact.add(std::move(rel_rec));
-  by_engine.print(std::cout);
-  std::cout << "release / validated updates-per-second ratio at S = 1: "
-            << Table::num(validated_rate > 0 ? release_rate / validated_rate
-                                             : 0.0, 3)
-            << "x\n";
+  artifact.add(engine_head_to_head("geo", geo_seq, kEps,
+                                   "engine-throughput-geo",
+                                   "uniform churn, load 0.8, eps 1/64, "
+                                   "S = 1, 1 thread"));
 
   artifact.write();
 }

@@ -9,7 +9,7 @@
 //                             incremental per-update invariant checks,
 //                             periodic full audits.  The correctness
 //                             reference for everything else.
-//   SlabStore (src/release) — the release fast path: flat SoA item records,
+//   SlabStore (src/release) — the release fast path: flat item records,
 //                             open-addressed id map, no per-update
 //                             validation, only O(1) cost counters.  Its
 //                             correctness is established externally by the

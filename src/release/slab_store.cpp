@@ -27,7 +27,7 @@ SlabStore::SlabStore(Tick capacity, Tick eps_ticks, ValidationPolicy policy)
 
 void SlabStore::map_insert(ItemId id, std::uint32_t slot) {
   // Grow at 5/8 load so probe chains stay short.
-  if ((ids_.size() + 1) * 8 >= map_keys_.size() * 5) map_grow();
+  if ((recs_.size() + 1) * 8 >= map_keys_.size() * 5) map_grow();
   const std::size_t mask = map_keys_.size() - 1;
   std::size_t b = static_cast<std::size_t>(mix(id)) & mask;
   while (map_keys_[b] != kNoItem) b = (b + 1) & mask;
@@ -98,15 +98,15 @@ std::size_t SlabStore::index_lower_bound(std::size_t lo, std::size_t hi,
   const auto it = std::lower_bound(
       first, last, std::pair{offset, id},
       [this](std::uint32_t slot, const std::pair<Tick, ItemId>& key) {
-        return std::pair{offsets_[slot], ids_[slot]} < key;
+        return std::pair{recs_[slot].offset, recs_[slot].id} < key;
       });
   return static_cast<std::size_t>(it - by_offset_.begin());
 }
 
 void SlabStore::index_reseat(std::size_t pos) {
   const std::uint32_t slot = by_offset_[pos];
-  const Tick offset = offsets_[slot];
-  const ItemId id = ids_[slot];
+  const Tick offset = recs_[slot].offset;
+  const ItemId id = recs_[slot].id;
   const auto base = by_offset_.begin();
   if (pos > 0 && !slot_less(by_offset_[pos - 1], slot)) {
     // Out of order leftward: slide the entry down to its sorted position.
@@ -156,11 +156,8 @@ void SlabStore::place(ItemId id, Tick offset, Tick size, Tick extent) {
   MEMREAL_CHECK(size > 0);
   if (extent == 0) extent = size;
   MEMREAL_CHECK(extent >= size);
-  const auto slot = static_cast<std::uint32_t>(ids_.size());
-  ids_.push_back(id);
-  offsets_.push_back(offset);
-  sizes_.push_back(size);
-  extents_.push_back(extent);
+  const auto slot = static_cast<std::uint32_t>(recs_.size());
+  recs_.push_back(Record{id, offset, size, extent});
   if (by_offset_.empty() || slot_less(by_offset_.back(), slot)) {
     // Rightmost placement (every append-style allocator insert): no shift.
     index_pos_.push_back(static_cast<std::uint32_t>(by_offset_.size()));
@@ -181,75 +178,115 @@ void SlabStore::place(ItemId id, Tick offset, Tick size, Tick extent) {
   moved_ += size;
 }
 
-void SlabStore::move_slot(std::uint32_t slot, Tick offset) {
-  const Tick old_offset = offsets_[slot];
-  if (old_offset == offset) return;
-  const Tick extent = extents_[slot];
-  span_drop(old_offset + extent);
-  offsets_[slot] = offset;
-  span_add(offset + extent);
-  // Compaction moves preserve (offset, id) order; only a move that crosses
-  // a neighbor pays the index reseat.
-  const std::size_t pos = index_pos_[slot];
-  const bool ordered =
-      (pos == 0 || slot_less(by_offset_[pos - 1], slot)) &&
-      (pos + 1 == by_offset_.size() || slot_less(slot, by_offset_[pos + 1]));
-  if (!ordered) index_reseat(pos);
-  moved_ += sizes_[slot];
-}
-
 void SlabStore::move_to(ItemId id, Tick offset) {
   MEMREAL_CHECK_MSG(in_update_, "layout mutation outside an update");
-  move_slot(slot_of(id), offset);
+  const std::uint32_t slot = slot_of(id);
+  Record& r = recs_[slot];
+  if (r.offset == offset) return;
+  span_drop(r.offset + r.extent);
+  r.offset = offset;
+  span_add(offset + r.extent);
+  // Compaction moves preserve (offset, id) order; only a move that crosses
+  // a neighbor pays the index reseat.
+  if (!index_in_order(slot)) index_reseat(index_pos_[slot]);
+  moved_ += r.size;
+}
+
+bool SlabStore::run_is_block(std::size_t lo, Tick offset, Tick end,
+                             bool in_index_order) {
+  const std::size_t k = run_slots_.size();
+  if (!in_index_order) {
+    // k positions inside a range of k: distinct iff none repeats.
+    run_seen_.assign(k, 0);
+    for (const std::uint32_t slot : run_slots_) {
+      std::uint8_t& seen = run_seen_[index_pos_[slot] - lo];
+      if (seen != 0) return false;
+      seen = 1;
+    }
+  }
+  // Extents >= 1 make the run's new keys strictly increasing, so only the
+  // two ends need checking against the unmoved neighbors.
+  const Record& first = recs_[run_slots_.front()];
+  const Record& last = recs_[run_slots_.back()];
+  if (lo > 0) {
+    const Record& left = recs_[by_offset_[lo - 1]];
+    if (!key_less(left.offset, left.id, offset, first.id)) return false;
+  }
+  const std::size_t hi = lo + k - 1;
+  if (hi + 1 < by_offset_.size()) {
+    const Record& right = recs_[by_offset_[hi + 1]];
+    if (!key_less(end - last.extent, last.id, right.offset, right.id)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 Tick SlabStore::apply_run(std::span<const ItemId> ids, Tick offset) {
   MEMREAL_CHECK_MSG(in_update_, "layout mutation outside an update");
-  if (ids.size() == ids_.size() && !ids.empty()) {
-    // Full-layout rewrite (every SIMPLE rebuild): the run IS the final
-    // offset order, so by_offset_ can be written directly — no per-move
-    // order checks, no reseat rotations.  Extents >= 1 make the resulting
-    // offsets strictly increasing, and the span is the last item's end.
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      const std::uint32_t slot = slot_of(ids[k]);
-      if (offsets_[slot] != offset) {
-        offsets_[slot] = offset;
-        moved_ += sizes_[slot];
+  // Resolve every id once, collecting the run's index range, whether it
+  // already walks that range in index order (every compaction), and its
+  // end.
+  const std::size_t k = ids.size();
+  run_slots_.resize(k);
+  std::size_t lo = by_offset_.size();
+  std::size_t hi = 0;
+  bool in_index_order = true;
+  Tick end = offset;
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::uint32_t slot = slot_of(ids[j]);
+    const std::size_t pos = index_pos_[slot];
+    run_slots_[j] = slot;
+    in_index_order &= j == 0 || pos == hi + 1;
+    lo = std::min(lo, pos);
+    hi = std::max(hi, pos);
+    end += recs_[slot].extent;
+  }
+  const bool block = k > 0 && hi - lo + 1 == k &&
+                     run_is_block(lo, offset, end, in_index_order);
+  bool any_moved = false;
+  if (block) {
+    // Block rewrite (every SIMPLE rebuild, GEO's suffix rebuilds): the run
+    // order is the new index order of positions [lo, lo + k), so the index
+    // is written directly — no per-move order checks, no reseat rotations.
+    for (std::size_t j = 0; j < run_slots_.size(); ++j) {
+      const std::uint32_t slot = run_slots_[j];
+      Record& r = recs_[slot];
+      if (r.offset != offset) {
+        r.offset = offset;
+        moved_ += r.size;
+        any_moved = true;
       }
-      by_offset_[k] = slot;
-      index_pos_[slot] = static_cast<std::uint32_t>(k);
-      offset += extents_[slot];
+      by_offset_[lo + j] = slot;
+      index_pos_[slot] = static_cast<std::uint32_t>(lo + j);
+      offset += r.extent;
     }
+  } else {
+    // Any other run (a repeated id, a run interleaved with unmoved items,
+    // or one whose keys cross an outside neighbor) replays the per-move
+    // loop: an order check plus an offset write, and a reseat only for a
+    // move that crosses a neighbor.
+    for (const std::uint32_t slot : run_slots_) {
+      Record& r = recs_[slot];
+      if (r.offset != offset) {
+        r.offset = offset;
+        if (!index_in_order(slot)) index_reseat(index_pos_[slot]);
+        moved_ += r.size;
+        any_moved = true;
+      }
+      offset += r.extent;
+    }
+  }
+  // The span resolves once per run instead of twice per move.  A block
+  // covering every item ends exactly at `offset`.  Otherwise run items are
+  // extent-contiguous by construction, so the run's max end is the final
+  // `offset`; when the span was clean and the run reaches at or past it,
+  // every surviving end is <= `offset` and the span is exact.  A run
+  // ending short may have moved the old maximum down — recompute lazily.
+  if (block && run_slots_.size() == recs_.size()) {
     span_ = offset;
     span_dirty_ = false;
-    return offset;
-  }
-  // Partial run (covering-set compaction after a delete): relocations
-  // almost always preserve (offset, id) order, so each move is an order
-  // check plus an offset write; the span resolves once at the end of the
-  // run instead of twice per move.
-  bool any_moved = false;
-  for (const ItemId id : ids) {
-    const std::uint32_t slot = slot_of(id);
-    if (offsets_[slot] != offset) {
-      offsets_[slot] = offset;
-      const std::size_t pos = index_pos_[slot];
-      const bool ordered =
-          (pos == 0 || slot_less(by_offset_[pos - 1], slot)) &&
-          (pos + 1 == by_offset_.size() ||
-           slot_less(slot, by_offset_[pos + 1]));
-      if (!ordered) index_reseat(pos);
-      moved_ += sizes_[slot];
-      any_moved = true;
-    }
-    offset += extents_[slot];
-  }
-  if (any_moved) {
-    // Run items are extent-contiguous by construction, so the run's max
-    // end is the final `offset`; when the span was clean and the run
-    // reaches at or past it, every surviving end is <= `offset` and the
-    // span is exact.  A run ending short may have moved the old maximum
-    // down — recompute lazily.
+  } else if (any_moved) {
     if (!span_dirty_ && offset >= span_) {
       span_ = offset;
     } else {
@@ -261,13 +298,13 @@ Tick SlabStore::apply_run(std::span<const ItemId> ids, Tick offset) {
 
 void SlabStore::reset_extents(std::span<const ItemId> ids) {
   MEMREAL_CHECK_MSG(in_update_, "layout mutation outside an update");
-  if (ids.size() == ids_.size() && !ids.empty()) {
+  if (ids.size() == recs_.size() && !ids.empty()) {
     // Whole-layout revert (step 1 of every SIMPLE rebuild): one linear
-    // pass over the slot arrays instead of one id probe per item.
-    for (std::size_t slot = 0; slot < ids_.size(); ++slot) {
-      extent_mass_ += sizes_[slot];
-      extent_mass_ -= extents_[slot];
-      extents_[slot] = sizes_[slot];
+    // pass over the records instead of one id probe per item.
+    for (Record& r : recs_) {
+      extent_mass_ += r.size;
+      extent_mass_ -= r.extent;
+      r.extent = r.size;
     }
     span_dirty_ = true;  // deflation can shrink the rightmost end
     return;
@@ -277,36 +314,32 @@ void SlabStore::reset_extents(std::span<const ItemId> ids) {
 
 void SlabStore::set_extent(ItemId id, Tick extent) {
   MEMREAL_CHECK_MSG(in_update_, "layout mutation outside an update");
-  const std::uint32_t slot = slot_of(id);
-  MEMREAL_CHECK_MSG(extent >= sizes_[slot], "extent " << extent
-                                                      << " below true size "
-                                                      << sizes_[slot]);
-  const Tick offset = offsets_[slot];
-  span_drop(offset + extents_[slot]);
-  span_add(offset + extent);
+  Record& r = recs_[slot_of(id)];
+  MEMREAL_CHECK_MSG(extent >= r.size,
+                    "extent " << extent << " below true size " << r.size);
+  span_drop(r.offset + r.extent);
+  span_add(r.offset + extent);
   extent_mass_ += extent;
-  extent_mass_ -= extents_[slot];
-  extents_[slot] = extent;
+  extent_mass_ -= r.extent;
+  r.extent = extent;
 }
 
 void SlabStore::reset_extent(ItemId id) {
   MEMREAL_CHECK_MSG(in_update_, "layout mutation outside an update");
-  const std::uint32_t slot = slot_of(id);
-  const Tick offset = offsets_[slot];
-  const Tick size = sizes_[slot];
-  span_drop(offset + extents_[slot]);
-  span_add(offset + size);
-  extent_mass_ += size;
-  extent_mass_ -= extents_[slot];
-  extents_[slot] = size;
+  Record& r = recs_[slot_of(id)];
+  span_drop(r.offset + r.extent);
+  span_add(r.offset + r.size);
+  extent_mass_ += r.size;
+  extent_mass_ -= r.extent;
+  r.extent = r.size;
 }
 
 void SlabStore::remove(ItemId id) {
   MEMREAL_CHECK_MSG(in_update_, "layout mutation outside an update");
   const std::uint32_t slot = slot_of(id);
-  live_mass_ -= sizes_[slot];
-  extent_mass_ -= extents_[slot];
-  span_drop(offsets_[slot] + extents_[slot]);
+  live_mass_ -= recs_[slot].size;
+  extent_mass_ -= recs_[slot].extent;
+  span_drop(recs_[slot].offset + recs_[slot].extent);
   const std::size_t pos = index_pos_[slot];
   by_offset_.erase(by_offset_.begin() + static_cast<std::ptrdiff_t>(pos));
   for (std::size_t i = pos; i < by_offset_.size(); ++i) {
@@ -315,20 +348,14 @@ void SlabStore::remove(ItemId id) {
   map_erase(id);
   // Swap-with-last keeps the record arrays dense; the moved record's map
   // and index entries must be re-pointed at its new slot.
-  const auto last = static_cast<std::uint32_t>(ids_.size() - 1);
+  const auto last = static_cast<std::uint32_t>(recs_.size() - 1);
   if (slot != last) {
-    ids_[slot] = ids_[last];
-    offsets_[slot] = offsets_[last];
-    sizes_[slot] = sizes_[last];
-    extents_[slot] = extents_[last];
+    recs_[slot] = recs_[last];
     index_pos_[slot] = index_pos_[last];
     by_offset_[index_pos_[slot]] = slot;
-    map_set(ids_[slot], slot);
+    map_set(recs_[slot].id, slot);
   }
-  ids_.pop_back();
-  offsets_.pop_back();
-  sizes_.pop_back();
-  extents_.pop_back();
+  recs_.pop_back();
   index_pos_.pop_back();
 }
 
@@ -336,9 +363,7 @@ void SlabStore::remove(ItemId id) {
 
 void SlabStore::recompute_span() const {
   Tick m = 0;
-  for (std::size_t s = 0; s < offsets_.size(); ++s) {
-    m = std::max(m, offsets_[s] + extents_[s]);
-  }
+  for (const Record& r : recs_) m = std::max(m, r.offset + r.extent);
   span_ = m;
   span_dirty_ = false;
 }
@@ -349,13 +374,13 @@ std::optional<PlacedItem> SlabStore::item_at(Tick offset) const {
   // upper_bound on (offset, kNoItem): the first entry strictly past every
   // id at `offset` — mirror of Memory::item_at.
   std::size_t pos = index_lower_bound(offset, kNoItem);
-  if (pos < by_offset_.size() && offsets_[by_offset_[pos]] == offset &&
-      ids_[by_offset_[pos]] == kNoItem) {
+  if (pos < by_offset_.size() && recs_[by_offset_[pos]].offset == offset &&
+      recs_[by_offset_[pos]].id == kNoItem) {
     ++pos;  // unreachable in practice (kNoItem is never placed), but exact
   }
   if (pos == 0) return std::nullopt;
   const std::uint32_t slot = by_offset_[pos - 1];
-  if (offsets_[slot] + extents_[slot] > offset) return placed(slot);
+  if (recs_[slot].offset + recs_[slot].extent > offset) return placed(slot);
   return std::nullopt;
 }
 
@@ -393,7 +418,8 @@ SlabStore::Neighbors SlabStore::neighbors_of(ItemId id) const {
 std::vector<PlacedItem> SlabStore::items_in(Tick from, Tick to) const {
   std::vector<PlacedItem> out;
   for (std::size_t pos = index_lower_bound(from, ItemId{0});
-       pos < by_offset_.size() && offsets_[by_offset_[pos]] < to; ++pos) {
+       pos < by_offset_.size() && recs_[by_offset_[pos]].offset < to;
+       ++pos) {
     out.push_back(placed(by_offset_[pos]));
   }
   return out;
@@ -410,9 +436,9 @@ std::vector<std::pair<Tick, Tick>> SlabStore::gaps() const {
   std::vector<std::pair<Tick, Tick>> out;
   Tick cursor = 0;
   for (const std::uint32_t slot : by_offset_) {
-    const Tick offset = offsets_[slot];
-    if (offset > cursor) out.emplace_back(cursor, offset - cursor);
-    cursor = std::max(cursor, offset + extents_[slot]);
+    const Record& r = recs_[slot];
+    if (r.offset > cursor) out.emplace_back(cursor, r.offset - cursor);
+    cursor = std::max(cursor, r.offset + r.extent);
   }
   return out;
 }
@@ -420,13 +446,9 @@ std::vector<std::pair<Tick, Tick>> SlabStore::gaps() const {
 // -- Validation -------------------------------------------------------------
 
 void SlabStore::audit() const {
-  MEMREAL_CHECK_MSG(ids_.size() == offsets_.size() &&
-                        ids_.size() == sizes_.size() &&
-                        ids_.size() == extents_.size(),
-                    "SoA array size drift");
-  MEMREAL_CHECK_MSG(by_offset_.size() == ids_.size(),
+  MEMREAL_CHECK_MSG(by_offset_.size() == recs_.size(),
                     "by-offset index size drift");
-  MEMREAL_CHECK_MSG(index_pos_.size() == ids_.size(),
+  MEMREAL_CHECK_MSG(index_pos_.size() == recs_.size(),
                     "position-cache size drift");
 
   Tick live = 0;
@@ -437,13 +459,10 @@ void SlabStore::audit() const {
   Tick prev_offset = 0;
   for (std::size_t pos = 0; pos < by_offset_.size(); ++pos) {
     const std::uint32_t slot = by_offset_[pos];
-    MEMREAL_CHECK_MSG(slot < ids_.size(), "by-offset index slot drift");
+    MEMREAL_CHECK_MSG(slot < recs_.size(), "by-offset index slot drift");
+    const auto [id, offset, size, extent] = recs_[slot];
     MEMREAL_CHECK_MSG(index_pos_[slot] == pos,
-                      "position-cache drift for item " << ids_[slot]);
-    const ItemId id = ids_[slot];
-    const Tick offset = offsets_[slot];
-    const Tick size = sizes_[slot];
-    const Tick extent = extents_[slot];
+                      "position-cache drift for item " << id);
     if (pos > 0) {
       MEMREAL_CHECK_MSG(
           (std::pair{prev_offset, prev_id} < std::pair{offset, id}),
@@ -482,7 +501,7 @@ void SlabStore::audit() const {
 
 void SlabStore::debug_corrupt_first_offset(Tick delta) {
   MEMREAL_CHECK_MSG(!by_offset_.empty(), "nothing to corrupt");
-  offsets_[by_offset_.front()] += delta;
+  recs_[by_offset_.front()].offset += delta;
 }
 
 }  // namespace memreal

@@ -2,39 +2,44 @@
 //
 // SlabStore implements the same LayoutStore contract as the validating
 // Memory model, but swaps the node-based std::map/multiset machinery for a
-// flat slab of SoA item records and performs NO per-update validation —
-// only the O(1) cost counters the paper's model requires (moved mass,
+// flat slab of item records and performs NO per-update validation — only
+// the O(1) cost counters the paper's model requires (moved mass,
 // live/extent mass, update count).
 //
 // Layout of the slab:
 //
-//   ids_ / offsets_ / sizes_ / extents_   dense parallel arrays, one slot
-//                                         per live item; slots are kept
-//                                         dense by swap-with-last removal
-//   map_keys_ / map_slots_                open-addressed id -> slot table
-//                                         (power-of-two, linear probing,
-//                                         backward-shift deletion): O(1)
-//                                         point queries
-//   by_offset_ / index_pos_               slot indices sorted by
-//                                         (offset, id), plus the inverse
-//                                         permutation (slot -> position):
-//                                         ordered queries are binary
-//                                         searches over contiguous memory;
-//                                         mutations find their own entry
-//                                         in O(1) via index_pos_
-//   span_ / span_dirty_                   cached max offset+extent; moving
-//                                         or shrinking the rightmost item
-//                                         marks it dirty and the next
-//                                         span_end() recomputes with one
-//                                         O(n) scan of the slab
+//   recs_                   one 32-byte record {id, offset, size, extent}
+//                           per live item; slots are kept dense by
+//                           swap-with-last removal.  A relocation, an
+//                           order comparison or a query result touches
+//                           one cache line per item, not one per field
+//   map_keys_ / map_slots_  open-addressed id -> slot table (power-of-two,
+//                           linear probing, backward-shift deletion): O(1)
+//                           point queries
+//   by_offset_ / index_pos_ slot indices sorted by (offset, id), plus the
+//                           inverse permutation (slot -> position):
+//                           ordered queries are binary searches over
+//                           contiguous memory; mutations find their own
+//                           entry in O(1) via index_pos_
+//   span_ / span_dirty_     cached max offset+extent; moving or shrinking
+//                           the rightmost item marks it dirty and the next
+//                           span_end() recomputes with one O(n) scan
 //
-// Two structural facts keep the hot path cheap.  First, compaction-style
+// Three structural facts keep the hot path cheap.  First, compaction-style
 // moves (every SIMPLE rebuild / covering-set compaction) slide items left
 // without reordering, so move_to only touches by_offset_ when the
-// (offset, id) order actually changes — the common move is two array
-// writes.  Second, span_end() is rarely read between updates, so the span
-// cache is a scalar with lazy recompute instead of a sorted multiset that
-// would charge two binary-search insertions per move.
+// (offset, id) order actually changes — the common move is two writes.
+// Second, apply_run rewrites a whole index range in one pass when the run
+// covers it: if the run's slots are distinct, occupy exactly the index
+// positions [lo, hi], and their new keys fit between by_offset_[lo-1] and
+// by_offset_[hi+1], the run order IS the new index order for that range,
+// so each item costs one record write and two index writes whether or not
+// the move reorders it (GEO's level rebuilds stably partition a suffix by
+// label; SIMPLE's rebuild is the case lo = 0, k = n).  Any other run
+// falls back to the per-move order check and reseat.  Third, span_end()
+// is rarely read between updates, so the span cache is a scalar with lazy
+// recompute instead of a sorted multiset that would charge two
+// binary-search insertions per move.
 //
 // The (offset, id) sort key matches Memory's index exactly, so every
 // ordered query (item_at, first_at_or_after, neighbors_of, snapshot, ...)
@@ -99,21 +104,21 @@ class SlabStore final : public LayoutStore {
     return probe(id) != kNoSlot;
   }
   [[nodiscard]] Tick offset_of(ItemId id) const override {
-    return offsets_[slot_of(id)];
+    return recs_[slot_of(id)].offset;
   }
   [[nodiscard]] Tick size_of(ItemId id) const override {
-    return sizes_[slot_of(id)];
+    return recs_[slot_of(id)].size;
   }
   [[nodiscard]] Tick extent_of(ItemId id) const override {
-    return extents_[slot_of(id)];
+    return recs_[slot_of(id)].extent;
   }
   [[nodiscard]] Tick end_of(ItemId id) const override {
-    const std::uint32_t s = slot_of(id);
-    return offsets_[s] + extents_[s];
+    const Record& r = recs_[slot_of(id)];
+    return r.offset + r.extent;
   }
 
   [[nodiscard]] std::size_t item_count() const override {
-    return ids_.size();
+    return recs_.size();
   }
   [[nodiscard]] Tick live_mass() const override { return live_mass_; }
   [[nodiscard]] Tick extent_mass() const override { return extent_mass_; }
@@ -147,7 +152,7 @@ class SlabStore final : public LayoutStore {
 
   // -- Validation ---------------------------------------------------------
 
-  /// Full O(n log n) structural check: SoA/map/index/span consistency,
+  /// Full O(n log n) structural check: record/map/index/span consistency,
   /// extent disjointness, mass totals, policy-gated span and load bounds.
   /// Never runs implicitly — a release cell's audit() calls it, which
   /// drivers do at run end (and the fuzz oracle when judging a failure).
@@ -168,6 +173,16 @@ class SlabStore final : public LayoutStore {
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  /// One live item.  32-byte aligned so a record never straddles a cache
+  /// line.
+  struct alignas(32) Record {
+    ItemId id;
+    Tick offset;
+    Tick size;
+    Tick extent;
+  };
+  static_assert(sizeof(Record) == 32);
 
   /// SplitMix64 finalizer — full-avalanche id hash for the open-addressed
   /// table (sequential ids would otherwise cluster probes).
@@ -203,8 +218,12 @@ class SlabStore final : public LayoutStore {
 
   /// (offset, id) order of two slots — the index sort key.
   [[nodiscard]] bool slot_less(std::uint32_t a, std::uint32_t b) const {
-    return offsets_[a] != offsets_[b] ? offsets_[a] < offsets_[b]
-                                      : ids_[a] < ids_[b];
+    return key_less(recs_[a].offset, recs_[a].id, recs_[b].offset,
+                    recs_[b].id);
+  }
+  [[nodiscard]] static bool key_less(Tick a_offset, ItemId a_id,
+                                     Tick b_offset, ItemId b_id) {
+    return a_offset != b_offset ? a_offset < b_offset : a_id < b_id;
   }
   /// Position in by_offset_[lo, hi) of the first slot with
   /// (offset, id) >= key.
@@ -216,12 +235,26 @@ class SlabStore final : public LayoutStore {
   /// Re-seats by_offset_[pos] (whose stored offset just changed) so the
   /// index is sorted again; refreshes index_pos_ for every shifted entry.
   void index_reseat(std::size_t pos);
-  /// Core of move_to/apply_run once the slot is known.
-  void move_slot(std::uint32_t slot, Tick offset);
+  /// Whether `slot` (whose offset may just have changed) still sorts
+  /// between its index neighbors.
+  [[nodiscard]] bool index_in_order(std::uint32_t slot) const {
+    const std::size_t pos = index_pos_[slot];
+    return (pos == 0 || slot_less(by_offset_[pos - 1], slot)) &&
+           (pos + 1 == by_offset_.size() ||
+            slot_less(slot, by_offset_[pos + 1]));
+  }
+  /// Whether apply_run may write the run as one index block, given that
+  /// the k resolved slots in run_slots_ lie in index positions
+  /// [lo, lo + k) and the run spans [offset, end): the slots are distinct
+  /// (implied when `in_index_order`, i.e. slot j sits at lo + j), and the
+  /// first new key and the last stay between the block's unmoved index
+  /// neighbors.  Touches no layout state.
+  [[nodiscard]] bool run_is_block(std::size_t lo, Tick offset, Tick end,
+                                  bool in_index_order);
 
   [[nodiscard]] PlacedItem placed(std::uint32_t slot) const {
-    return PlacedItem{ids_[slot], offsets_[slot], sizes_[slot],
-                      extents_[slot]};
+    const Record& r = recs_[slot];
+    return PlacedItem{r.id, r.offset, r.size, r.extent};
   }
 
   /// Span-cache maintenance: a new end can only raise a clean cache; a
@@ -238,16 +271,18 @@ class SlabStore final : public LayoutStore {
   Tick eps_ticks_;
   ValidationPolicy policy_;
 
-  std::vector<ItemId> ids_;
-  std::vector<Tick> offsets_;
-  std::vector<Tick> sizes_;
-  std::vector<Tick> extents_;
+  std::vector<Record> recs_;
 
   std::vector<ItemId> map_keys_;          ///< kNoItem = empty bucket
   std::vector<std::uint32_t> map_slots_;  ///< parallel to map_keys_
 
   std::vector<std::uint32_t> by_offset_;
   std::vector<std::uint32_t> index_pos_;  ///< slot -> position in by_offset_
+
+  /// apply_run scratch, reused across runs: each run id's slot, and a
+  /// seen-flag per candidate index position for the distinctness check.
+  std::vector<std::uint32_t> run_slots_;
+  std::vector<std::uint8_t> run_seen_;
 
   Tick live_mass_ = 0;
   Tick extent_mass_ = 0;

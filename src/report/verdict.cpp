@@ -377,11 +377,12 @@ void eval_tval(const BenchFile& f, Checker& c, std::string& headline) {
              std::to_string(largest_n);
 }
 
-// T-REL — the unchecked release engine delivers the promised speedup over
-// the validated engine on the S = 1 single-thread head-to-head.
-void eval_trel(const BenchFile& f, Checker& c, std::string& headline) {
-  const Json* rec = require_series(f, "engine-throughput", c);
-  if (rec == nullptr) return;
+/// release / validated updates/sec of one T-REL head-to-head series, or 0
+/// with a recorded failure when the series or either row is missing.
+double engine_speedup(const BenchFile& f, const std::string& series,
+                      Checker& c) {
+  const Json* rec = require_series(f, series, c);
+  if (rec == nullptr) return 0;
   double validated = 0;
   double release = 0;
   for (const auto& [key, row] : rec->at("rows").items()) {
@@ -391,19 +392,37 @@ void eval_trel(const BenchFile& f, Checker& c, std::string& headline) {
     if (row.at("engine").as_string() == "release") release = rate;
   }
   if (validated <= 0 || release <= 0) {
-    c.fail("engine-throughput: need validated and release rows with "
-           "positive updates/sec");
-    return;
+    c.fail(series + ": need validated and release rows with positive "
+                    "updates/sec");
+    return 0;
   }
-  const double speedup = release / validated;
-  // Fast-mode sweeps run far fewer updates, so fixed per-run costs eat
-  // into the measured ratio; the bar drops accordingly.
+  return release / validated;
+}
+
+// T-REL — the unchecked release engine delivers the promised speedup over
+// the validated engine on the S = 1 single-thread head-to-heads: SIMPLE
+// (order-preserving compactions) and GEO (level rebuilds that reorder
+// items, so a store that reseats per reordering move fails the GEO bar).
+void eval_trel(const BenchFile& f, Checker& c, std::string& headline) {
+  const std::string mode = f.fast_mode ? " (fast mode)" : "";
+  // GEO's ratio barely depends on run length (~8-11x in fast mode, ~8-10x
+  // in full), and a store that reseats per reordering move measures ~5x
+  // in both, so one bar serves both modes.
+  const double geo = engine_speedup(f, "engine-throughput-geo", c);
+  if (geo > 0) {
+    c.check(geo >= 6.0, "GEO release/validated updates-per-second ratio " +
+                            num(geo, 3) + " >= 6x at S = 1" + mode);
+  }
+  const double simple = engine_speedup(f, "engine-throughput", c);
+  if (simple <= 0) return;
+  // Fast-mode SIMPLE sweeps run far fewer updates, so fixed per-run costs
+  // eat into the measured ratio; the bar drops accordingly.
   const double bar = f.fast_mode ? 5.0 : 10.0;
-  c.check(speedup >= bar,
-          "release/validated updates-per-second ratio " + num(speedup, 3) +
-              " >= " + num(bar, 1) + "x at S = 1" +
-              (f.fast_mode ? " (fast mode)" : ""));
-  headline = num(speedup, 3) + "x release over validated";
+  c.check(simple >= bar,
+          "release/validated updates-per-second ratio " + num(simple, 3) +
+              " >= " + num(bar, 1) + "x at S = 1" + mode);
+  headline = num(simple, 3) + "x release over validated";
+  if (geo > 0) headline += ", " + num(geo, 3) + "x on GEO";
 }
 
 // T-ARENA — the byte-addressed arena layer: every (allocator, engine)
@@ -655,7 +674,8 @@ const std::vector<ClaimRule>& claim_rules() {
        eval_tval},
       {{"T-REL", "Release engine throughput", "shard", "repo trajectory",
         "the unchecked slab fast path sustains >= 10x validated "
-        "updates/sec at S = 1 (>= 5x in fast mode)"},
+        "updates/sec at S = 1 (>= 5x in fast mode), and >= 6x on GEO, "
+        "whose level rebuilds reorder items"},
        eval_trel},
       {{"T-ARENA", "Byte-addressed arena", "arena", "repo trajectory",
         "arena-backed cells reproduce the tick cost channel exactly, "
@@ -747,6 +767,7 @@ FloorResult check_throughput_floor(const BenchSet& current,
   };
   constexpr SeriesSpec kSeries[] = {
       {"engine-throughput", "engine", "engine "},
+      {"engine-throughput-geo", "engine", "engine "},
       {"shard-scaling", "shards", "S = "},
   };
   for (const SeriesSpec& s : kSeries) {

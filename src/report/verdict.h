@@ -60,10 +60,10 @@ struct FloorResult {
 };
 
 /// Cross-artifact throughput regression gate: every updates/sec point in
-/// the current BENCH_shard.json (engine-throughput rows keyed by engine,
-/// shard-scaling rows keyed by shard count) must reach at least
-/// `floor_ratio` of the matching point in the `baseline` artifact from an
-/// earlier run.  Points present only on one side are noted, not failed —
+/// the current BENCH_shard.json (engine-throughput and
+/// engine-throughput-geo rows keyed by engine, shard-scaling rows keyed
+/// by shard count) must reach at least `floor_ratio` of the matching
+/// point in the `baseline` artifact from an earlier run.  Points present only on one side are noted, not failed —
 /// except a current file or series missing entirely, which fails.
 [[nodiscard]] FloorResult check_throughput_floor(const BenchSet& current,
                                                  const BenchFile& baseline,

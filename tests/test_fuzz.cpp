@@ -640,7 +640,7 @@ TEST(ReleaseOracle, PlantedSlabCorruptionIsCaughtAndShrunkSmall) {
   cfg.engine = "release";
   cfg.audit_every = 8;  // tight layout-compare cadence for a small repro
   // Stateless tamper (shrink candidates replay it identically): shift the
-  // lowest item's offset whenever at least three items are live — the SoA
+  // lowest item's offset whenever at least three items are live — the slab
   // record drifts from by_offset_/ends_ exactly like a slab indexing bug.
   cfg.release_tamper = [](SlabStore& store, std::size_t) {
     if (store.item_count() >= 3) store.debug_corrupt_first_offset(1);

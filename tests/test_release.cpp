@@ -282,7 +282,7 @@ TEST(SlabStore, AuditCatchesPlantedCorruption) {
   cell.run(seq.updates);
   cell.audit();  // healthy store passes
   ASSERT_GE(cell.memory().item_count(), 2u);
-  // Shift the first item onto its right neighbor: the SoA record changes
+  // Shift the first item onto its right neighbor: the slab record changes
   // but by_offset_/ends_ keep their stale view — exactly a slab bug.
   static_cast<SlabStore&>(cell.memory()).debug_corrupt_first_offset(1);
   EXPECT_THROW(cell.memory().audit(), InvariantViolation);
@@ -394,6 +394,139 @@ TEST(SlabStore, BatchedRunAndResetExtentsMatchPerItemSemantics) {
   EXPECT_EQ(store.offset_of(2), 10u);
   EXPECT_EQ(store.span_end(), 20u);
   store.audit();
+}
+
+/// A Memory and a SlabStore driven through the same hand-written updates.
+/// After every update both must agree on the charge, the run end, the
+/// snapshot, span_end(), total moved mass and every item's neighbors_of,
+/// and both must audit clean.  The bounds that hold only for allocator
+/// layouts (resizable bound, load factor) are off: these layouts are
+/// sparse on purpose.
+class StorePair {
+ public:
+  StorePair()
+      : memory_(kCapacity, kEpsTicks, loose()),
+        slab_(kCapacity, kEpsTicks, loose()) {}
+
+  void place(ItemId id, Tick offset, Tick size, Tick extent = 0) {
+    memory_.begin_update(size, true);
+    slab_.begin_update(size, true);
+    memory_.place(id, offset, size, extent);
+    slab_.place(id, offset, size, extent);
+    finish("place " + std::to_string(id));
+  }
+
+  void run(const std::vector<ItemId>& ids, Tick offset) {
+    memory_.begin_update(1, false);
+    slab_.begin_update(1, false);
+    const Tick memory_end = memory_.apply_run(ids, offset);
+    const Tick slab_end = slab_.apply_run(ids, offset);
+    EXPECT_EQ(memory_end, slab_end);
+    finish("run");
+  }
+
+  const SlabStore& slab() const { return slab_; }
+
+ private:
+  static constexpr Tick kCapacity = Tick{1} << 20;
+  static constexpr Tick kEpsTicks = Tick{1} << 10;
+
+  static ValidationPolicy loose() {
+    ValidationPolicy p;
+    p.check_resizable_bound = false;
+    p.check_load_factor = false;
+    return p;
+  }
+
+  static ItemId id_or_none(const std::optional<PlacedItem>& p) {
+    return p.has_value() ? p->id : kNoItem;
+  }
+
+  void finish(const std::string& what) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(memory_.end_update(), slab_.end_update());
+    EXPECT_EQ(memory_.total_moved(), slab_.total_moved());
+    EXPECT_EQ(memory_.span_end(), slab_.span_end());
+    expect_same_layout(memory_, slab_, what);
+    for (const PlacedItem& p : memory_.snapshot()) {
+      const auto a = memory_.neighbors_of(p.id);
+      const auto b = slab_.neighbors_of(p.id);
+      EXPECT_EQ(id_or_none(a.prev), id_or_none(b.prev)) << "item " << p.id;
+      EXPECT_EQ(id_or_none(a.next), id_or_none(b.next)) << "item " << p.id;
+    }
+    EXPECT_NO_THROW(memory_.audit());
+    EXPECT_NO_THROW(slab_.audit());
+  }
+
+  Memory memory_;
+  SlabStore slab_;
+};
+
+TEST(SlabStore, RunNamingAnIdTwiceMatchesMemory) {
+  // apply_run promises exactly the per-item move_to loop, so a repeated
+  // id moves (and is charged) twice and every other item keeps its index
+  // entry.  {1, 3, 3} fills index positions [0, 2] with k = 3, so only
+  // the distinctness check keeps it off the block path.
+  for (const std::vector<ItemId>& ids :
+       {std::vector<ItemId>{3, 2, 3}, std::vector<ItemId>{1, 3, 3}}) {
+    SCOPED_TRACE(::testing::PrintToString(ids));
+    StorePair pair;
+    pair.place(1, 0, 10);
+    pair.place(2, 10, 10);
+    pair.place(3, 20, 10);
+    pair.run(ids, 100);
+    EXPECT_EQ(pair.slab().offset_of(3), 120u);
+    EXPECT_EQ(pair.slab().total_moved(), 30u + 30u);  // 3 places + 3 moves
+  }
+}
+
+TEST(SlabStore, ReorderingRunOverMiddleIndexRange) {
+  // Items 2, 3, 4 hold index positions [1, 3] with unmoved items on both
+  // sides; the run reverses their order and inflates nothing, so the
+  // block rewrite owns exactly that index range.
+  StorePair pair;
+  for (ItemId id = 1; id <= 6; ++id) pair.place(id, (id - 1) * 10, 10);
+  pair.run({4, 2, 3}, 10);
+  EXPECT_EQ(pair.slab().offset_of(4), 10u);
+  EXPECT_EQ(pair.slab().offset_of(2), 20u);
+  // A second reordering pass over the same range, now with an inflated
+  // extent inside the run.
+  StorePair inflated;
+  inflated.place(1, 0, 10);
+  inflated.place(2, 10, 10, /*extent=*/15);
+  inflated.place(3, 25, 10);
+  inflated.place(4, 35, 10);
+  inflated.place(5, 60, 10);
+  inflated.run({3, 4, 2}, 10);
+  EXPECT_EQ(inflated.slab().offset_of(2), 30u);
+}
+
+TEST(SlabStore, RunOverNonContiguousIndexSlotsFallsBack) {
+  // Items 5 and 3 sit at index positions 4 and 2 with item 4 between
+  // them: the run's slots do not fill one index range.
+  StorePair pair;
+  for (ItemId id = 1; id <= 6; ++id) pair.place(id, (id - 1) * 100, 10);
+  pair.run({5, 3}, 110);
+  EXPECT_EQ(pair.slab().offset_of(5), 110u);
+  EXPECT_EQ(pair.slab().offset_of(3), 120u);
+  const auto n = pair.slab().neighbors_of(4);
+  ASSERT_TRUE(n.prev.has_value());
+  EXPECT_EQ(n.prev->id, 3u);
+}
+
+TEST(SlabStore, ContiguousRunCrossingAnOutsideNeighborFallsBack) {
+  // Items 2 and 3 fill index positions [1, 2], but the run lands them
+  // past item 4 (position 3): the last new key crosses by_offset_[hi + 1].
+  StorePair pair;
+  for (ItemId id = 1; id <= 4; ++id) pair.place(id, (id - 1) * 100, 10);
+  pair.run({2, 3}, 310);
+  EXPECT_EQ(pair.slab().offset_of(2), 310u);
+  EXPECT_EQ(pair.slab().last_item()->id, 3u);
+  // Mirror case: the first new key lands before by_offset_[lo - 1].
+  StorePair left;
+  for (ItemId id = 1; id <= 4; ++id) left.place(id, 100 + (id - 1) * 100, 10);
+  left.run({3, 4}, 0);
+  EXPECT_EQ(left.slab().first_item()->id, 3u);
 }
 
 TEST(SlabStore, IdMapSurvivesChurnAcrossGrowthAndDeletion) {

@@ -96,11 +96,12 @@ Json sweep_record(const std::string& claim, const std::string& series,
 
 /// Writes a schema-`schema` BENCH_<bench>.json holding `records`.
 std::string write_bench_file(const fs::path& dir, const std::string& bench,
-                             Json records, std::uint64_t schema = 2) {
+                             Json records, std::uint64_t schema = 2,
+                             bool fast_mode = true) {
   Json doc = Json::object();
   doc.set("bench", bench).set("schema", schema);
   doc.set("git_describe", "test-fixture");
-  doc.set("fast_mode", true);
+  doc.set("fast_mode", fast_mode);
   Json seeds = Json::array();
   seeds.push(std::uint64_t{1});
   doc.set("seeds", std::move(seeds));
@@ -416,9 +417,11 @@ TEST(Markdown, DanglingBeginMarkerThrows) {
 
 // -- release-engine claim (T-REL) and throughput floor --------------------
 
-/// "engine-throughput" series record: one row per (engine, rate) pair.
+/// T-REL head-to-head series record ("engine-throughput" is SIMPLE's,
+/// "engine-throughput-geo" GEO's): one row per (engine, rate) pair.
 Json engine_throughput_record(
-    const std::vector<std::pair<std::string, double>>& rates) {
+    const std::vector<std::pair<std::string, double>>& rates,
+    const std::string& series = "engine-throughput") {
   Json rows = Json::array();
   for (const auto& [engine, rate] : rates) {
     Json row = Json::object();
@@ -431,7 +434,7 @@ Json engine_throughput_record(
   Json rec = Json::object();
   rec.set("kind", "engine_throughput")
       .set("claim", "T-REL")
-      .set("series", "engine-throughput")
+      .set("series", series)
       .set("rows", std::move(rows));
   return rec;
 }
@@ -453,6 +456,12 @@ Json shard_scaling_record(
   return rec;
 }
 
+/// GEO head-to-head that clears both the fast and the full-mode bar.
+Json passing_geo_record() {
+  return engine_throughput_record({{"validated", 2000.0}, {"release", 14000.0}},
+                                  "engine-throughput-geo");
+}
+
 TEST(Verdict, ReleaseClaimPassesAtFastModeBar) {
   TempDir dir;
   Json records = Json::array();
@@ -460,6 +469,7 @@ TEST(Verdict, ReleaseClaimPassesAtFastModeBar) {
   // fast_mode = true).
   records.push(
       engine_throughput_record({{"validated", 100000.0}, {"release", 600000.0}}));
+  records.push(passing_geo_record());
   write_bench_file(dir.path, "shard", std::move(records));
   const auto rs =
       report::evaluate_claims(report::load_bench_dir(dir.path.string()));
@@ -474,6 +484,7 @@ TEST(Verdict, ReleaseClaimFailsBelowFastModeBar) {
   Json records = Json::array();
   records.push(
       engine_throughput_record({{"validated", 100000.0}, {"release", 300000.0}}));
+  records.push(passing_geo_record());
   write_bench_file(dir.path, "shard", std::move(records));
   const auto rs =
       report::evaluate_claims(report::load_bench_dir(dir.path.string()));
@@ -484,6 +495,7 @@ TEST(Verdict, ReleaseClaimFailsWithoutBothEngines) {
   TempDir dir;
   Json records = Json::array();
   records.push(engine_throughput_record({{"validated", 100000.0}}));
+  records.push(passing_geo_record());
   write_bench_file(dir.path, "shard", std::move(records));
   const auto rs =
       report::evaluate_claims(report::load_bench_dir(dir.path.string()));
@@ -492,6 +504,60 @@ TEST(Verdict, ReleaseClaimFailsWithoutBothEngines) {
   ASSERT_FALSE(r.checks.empty());
   EXPECT_NE(r.checks.back().find("need validated and release"),
             std::string::npos);
+}
+
+TEST(Verdict, ReleaseClaimFailsWhenGeoBelowSixX) {
+  // A store that reseats per reordering move still clears SIMPLE's bar
+  // but not GEO's (6x in fast mode too).
+  TempDir dir;
+  Json records = Json::array();
+  records.push(engine_throughput_record(
+      {{"validated", 100000.0}, {"release", 600000.0}}));
+  records.push(engine_throughput_record(
+      {{"validated", 2000.0}, {"release", 11000.0}}, "engine-throughput-geo"));
+  write_bench_file(dir.path, "shard", std::move(records));
+  const auto rs =
+      report::evaluate_claims(report::load_bench_dir(dir.path.string()));
+  const ClaimResult& r = result_for(rs, "T-REL");
+  EXPECT_EQ(r.status, Status::kFail);
+  bool saw = false;
+  for (const std::string& line : r.checks) {
+    if (line.rfind("FAIL: GEO", 0) == 0) saw = true;
+  }
+  EXPECT_TRUE(saw);
+}
+
+TEST(Verdict, ReleaseClaimHoldsGeoToSixXInFullMode) {
+  for (const auto& [release, status] :
+       {std::pair{11000.0, Status::kFail}, std::pair{13000.0, Status::kPass}}) {
+    TempDir dir;
+    Json records = Json::array();
+    records.push(engine_throughput_record(
+        {{"validated", 100000.0}, {"release", 1.1e6}}));
+    records.push(engine_throughput_record(
+        {{"validated", 2000.0}, {"release", release}},
+        "engine-throughput-geo"));
+    write_bench_file(dir.path, "shard", std::move(records), 2,
+                     /*fast_mode=*/false);
+    const auto rs =
+        report::evaluate_claims(report::load_bench_dir(dir.path.string()));
+    EXPECT_EQ(result_for(rs, "T-REL").status, status) << release;
+  }
+}
+
+TEST(Verdict, ReleaseClaimFailsWithoutGeoSeries) {
+  TempDir dir;
+  Json records = Json::array();
+  records.push(engine_throughput_record(
+      {{"validated", 100000.0}, {"release", 600000.0}}));
+  write_bench_file(dir.path, "shard", std::move(records));
+  const auto rs =
+      report::evaluate_claims(report::load_bench_dir(dir.path.string()));
+  const ClaimResult& r = result_for(rs, "T-REL");
+  EXPECT_EQ(r.status, Status::kFail);
+  ASSERT_FALSE(r.checks.empty());
+  EXPECT_NE(r.checks.front().find("engine-throughput-geo"), std::string::npos)
+      << r.checks.front();
 }
 
 TEST(Floor, PassesWhenCurrentRatesHoldTheFloor) {
@@ -548,6 +614,40 @@ TEST(Floor, FailsOnThroughputRegression) {
     if (line.rfind("FAIL: ", 0) == 0 &&
         line.find("engine release") != std::string::npos) {
       saw_fail = true;
+    }
+  }
+  EXPECT_TRUE(saw_fail);
+}
+
+TEST(Floor, GeoSeriesHoldsItsOwnFloor) {
+  TempDir base_dir, cur_dir;
+  Json base = Json::array();
+  base.push(
+      engine_throughput_record({{"validated", 100000.0}, {"release", 1.0e6}}));
+  base.push(engine_throughput_record(
+      {{"validated", 2000.0}, {"release", 20000.0}}, "engine-throughput-geo"));
+  const std::string base_path =
+      write_bench_file(base_dir.path, "shard", std::move(base));
+
+  Json cur = Json::array();
+  // SIMPLE holds its floor; GEO release fell back to a third.
+  cur.push(
+      engine_throughput_record({{"validated", 100000.0}, {"release", 1.0e6}}));
+  cur.push(engine_throughput_record(
+      {{"validated", 2000.0}, {"release", 7000.0}}, "engine-throughput-geo"));
+  write_bench_file(cur_dir.path, "shard", std::move(cur));
+
+  const auto fr = report::check_throughput_floor(
+      report::load_bench_dir(cur_dir.path.string()),
+      report::load_bench_file(base_path), 0.5);
+  EXPECT_FALSE(fr.ok);
+  bool saw_fail = false;
+  for (const std::string& line : fr.lines) {
+    if (line.rfind("FAIL: engine-throughput-geo engine release", 0) == 0) {
+      saw_fail = true;
+    }
+    if (line.find("engine-throughput engine") != std::string::npos) {
+      EXPECT_EQ(line.rfind("ok: ", 0), 0u) << line;
     }
   }
   EXPECT_TRUE(saw_fail);

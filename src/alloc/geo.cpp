@@ -10,6 +10,34 @@
 
 namespace memreal {
 
+namespace {
+
+bool key_less(const GeoClassItems::Entry& e, Tick size, ItemId id) {
+  return e.size != size ? e.size < size : e.id < id;
+}
+
+}  // namespace
+
+void GeoClassItems::insert(const Entry& e) {
+  auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), e,
+      [](const Entry& a, const Entry& b) { return key_less(a, b.size, b.id); });
+  MEMREAL_CHECK_MSG(it == entries_.end() || key_less(e, it->size, it->id),
+                    "class entry (" << e.size << ", " << e.id
+                                    << ") already present");
+  entries_.insert(it, e);
+}
+
+void GeoClassItems::erase(Tick size, ItemId id) {
+  auto it = std::lower_bound(entries_.begin(), entries_.end(), size,
+                             [id](const Entry& a, Tick sz) {
+                               return key_less(a, sz, id);
+                             });
+  MEMREAL_CHECK_MSG(it != entries_.end() && it->size == size && it->id == id,
+                    "class entry (" << size << ", " << id << ") absent");
+  entries_.erase(it);
+}
+
 GeoAllocator::GeoAllocator(LayoutStore& mem, const GeoConfig& config)
     : mem_(&mem),
       eps_(config.eps),
@@ -94,7 +122,7 @@ GeoAllocator::GeoAllocator(LayoutStore& mem, const GeoConfig& config)
     }
   }
 
-  class_items_.assign(classes, ClassSet{});
+  class_items_.assign(classes, GeoClassItems{});
   waste_thr_ = rng_.next_tick_in(eps_t_ / 2, eps_t_);
 }
 
@@ -144,9 +172,40 @@ void GeoAllocator::place_from(std::size_t from) {
 
 void GeoAllocator::apply_layout(std::size_t from) {
   place_from(from);
-  for (std::size_t k = from; k < order_.size(); ++k) {
-    info_.find(order_[k])->second.pos = k;
+  for (std::size_t k = from; k < slots_.size(); ++k) {
+    info_[slots_[k]].pos = static_cast<std::uint32_t>(k);
   }
+}
+
+GeoAllocator::Slot GeoAllocator::claim_slot(ItemId id, std::size_t cls,
+                                            std::size_t pos) {
+  MEMREAL_CHECK_MSG(pos < std::numeric_limits<Slot>::max(),
+                    "too many items for GEO");
+  const Slot slot = free_slots_.empty() ? static_cast<Slot>(info_.size())
+                                        : free_slots_.back();
+  MEMREAL_CHECK_MSG(slot_of_.try_emplace(id, slot).second,
+                    "duplicate id " << id);
+  if (free_slots_.empty()) {
+    info_.emplace_back();
+  } else {
+    free_slots_.pop_back();
+  }
+  info_[slot] = Info{id, static_cast<std::uint32_t>(cls),
+                     static_cast<std::uint32_t>(pos)};
+  return slot;
+}
+
+void GeoAllocator::release_slot(ItemId id, Slot slot) {
+  slot_of_.erase(id);
+  info_[slot] = Info{};
+  free_slots_.push_back(slot);
+}
+
+void GeoAllocator::erase_at(std::size_t k) {
+  const auto at = static_cast<std::ptrdiff_t>(k);
+  order_.erase(order_.begin() + at);
+  labels_.erase(labels_.begin() + at);
+  slots_.erase(slots_.begin() + at);
 }
 
 std::size_t GeoAllocator::suffix_start_for_label(int label) const {
@@ -162,9 +221,9 @@ std::size_t GeoAllocator::level_item_count(int j) const {
 }
 
 int GeoAllocator::label_of(ItemId id) const {
-  auto it = info_.find(id);
-  MEMREAL_CHECK_MSG(it != info_.end(), "label_of unknown item " << id);
-  return labels_[it->second.pos];
+  const Slot* slot = slot_of_.find(id);
+  MEMREAL_CHECK_MSG(slot != nullptr, "label_of unknown item " << id);
+  return labels_[info_[*slot].pos];
 }
 
 void GeoAllocator::rebuild_level(int j0) {
@@ -185,45 +244,31 @@ void GeoAllocator::rebuild_level(int j0) {
   // violation.  Suffix items no class selects fall back to label j0-1.
   new_labels_.assign(n, j0 - 1);
   for (std::size_t i = 0; i < class_lo_.size(); ++i) {
-    const ClassSet& set = class_items_[i];
-    if (set.empty()) continue;
-    const std::uint64_t take = c_[i][static_cast<std::size_t>(j0)];
+    const std::span<const GeoClassItems::Entry> items =
+        class_items_[i].entries();
+    if (items.empty()) continue;
+    const std::vector<std::uint64_t>& c = c_[i];
+    const std::uint64_t take = c[static_cast<std::size_t>(j0)];
     if (take == 0) continue;
-    // Candidates: the `take` smallest plus everything tied with the last.
-    cand_.clear();
-    auto collect = [&](const std::pair<Tick, ItemId>& entry) {
-      const std::size_t pos = info_.find(entry.second)->second.pos;
-      cand_.push_back({entry.first, pos, pos >= ss});
-    };
-    auto it = set.begin();
-    for (std::uint64_t k = 0; k < take && it != set.end(); ++k, ++it) {
-      collect(*it);
-    }
-    const Tick cutoff = cand_.back().size;
-    while (it != set.end() && it->first == cutoff) {
-      collect(*it);
-      ++it;
-    }
-    // Rank by (logical size, suffix members first).  The set yields
-    // (size, id) order, so visiting each run of equal sizes twice — suffix
-    // members, then the rest — is the stable sort by that key (without
-    // std::stable_sort's temporary buffer).  take > 0 means j*_i >= j0,
-    // and c_{i,j} falls as j grows, so the deepest level admitting a rank
-    // only gets shallower as the rank grows.
+    // Rank the `take` smallest by (logical size, suffix members first).
+    // The class yields (size, id) order, so visiting each run of equal
+    // sizes twice — suffix members, then the rest — is the stable sort by
+    // that key.  take > 0 means j*_i >= j0, and c_{i,j} falls as j grows,
+    // so the deepest level admitting a rank only gets shallower as the
+    // rank grows.
     std::uint64_t rank = 0;
     int j = jstar_[i];
-    for (std::size_t a = 0; a < cand_.size() && rank < take;) {
+    for (std::size_t a = 0; a < items.size() && rank < take;) {
       std::size_t b = a + 1;
-      while (b < cand_.size() && cand_[b].size == cand_[a].size) ++b;
+      while (b < items.size() && items[b].size == items[a].size) ++b;
       for (const bool suffix_pass : {true, false}) {
         for (std::size_t k = a; k < b && rank < take; ++k) {
-          const Candidate& c = cand_[k];
-          if (c.in_suffix != suffix_pass) continue;
+          const std::size_t pos = info_[items[k].slot].pos;
+          if ((pos >= ss) != suffix_pass) continue;
           MEMREAL_CHECK_MSG(
-              c.in_suffix,
-              "Lemma 4.2 violated: I_j member outside level j0-1");
-          while (j >= j0 && rank >= c_[i][static_cast<std::size_t>(j)]) --j;
-          new_labels_[c.pos - ss] = j;  // j0-1 once no level admits rank
+              pos >= ss, "Lemma 4.2 violated: I_j member outside level j0-1");
+          while (j >= j0 && rank >= c[static_cast<std::size_t>(j)]) --j;
+          new_labels_[pos - ss] = j;  // j0-1 once no level admits rank
           ++rank;
         }
       }
@@ -241,16 +286,19 @@ void GeoAllocator::rebuild_level(int j0) {
   }
   // Only items the sort displaces need their pos rewritten.
   sorted_.resize(n);
+  sorted_slots_.resize(n);
   for (std::size_t k = 0; k < n; ++k) {
     const int l = new_labels_[k];
     const std::size_t dst = bucket_[static_cast<std::size_t>(l)]++;
-    const ItemId id = order_[ss + k];
-    sorted_[dst] = id;
+    const Slot slot = slots_[ss + k];
+    sorted_[dst] = order_[ss + k];
+    sorted_slots_[dst] = slot;
     labels_[ss + dst] = l;
-    if (dst != k) info_.find(id)->second.pos = ss + dst;
+    if (dst != k) info_[slot].pos = static_cast<std::uint32_t>(ss + dst);
   }
-  std::copy(sorted_.begin(), sorted_.end(),
-            order_.begin() + static_cast<std::ptrdiff_t>(ss));
+  const auto at = static_cast<std::ptrdiff_t>(ss);
+  std::copy(sorted_.begin(), sorted_.end(), order_.begin() + at);
+  std::copy(sorted_slots_.begin(), sorted_slots_.end(), slots_.begin() + at);
   place_from(ss);
 }
 
@@ -288,15 +336,15 @@ void GeoAllocator::bump_counters_and_rebuild(std::size_t cls,
 void GeoAllocator::waste_recovery() {
   ++waste_recoveries_;
   // Revert all logical inflation, compact everything, rebuild level 1.
-  for (auto& [id, inf] : info_) {
-    if (labels_[inf.pos] < 0) continue;
+  for (std::size_t k = huge_count_; k < order_.size(); ++k) {
+    const ItemId id = order_[k];
     const Tick ext = mem_->extent_of(id);
     const Tick sz = mem_->size_of(id);
     if (ext != sz) {
-      auto& set = class_items_[inf.cls];
-      set.erase({ext, id});
+      GeoClassItems& items = class_items_[info_[slots_[k]].cls];
+      items.erase(ext, id);
       mem_->reset_extent(id);
-      set.insert({sz, id});
+      items.insert({sz, id, slots_[k]});
     }
   }
   apply_layout(0);
@@ -306,15 +354,14 @@ void GeoAllocator::waste_recovery() {
 }
 
 void GeoAllocator::insert(ItemId id, Tick size) {
-  MEMREAL_CHECK_MSG(info_.find(id) == info_.end(), "duplicate id " << id);
   if (size >= huge_thr_) {
     // Huge item: append to the huge prefix; everything after shifts right.
     // Cost <= L / size <= O(eps^-1/2).
-    order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(huge_count_),
-                  id);
-    labels_.insert(labels_.begin() + static_cast<std::ptrdiff_t>(huge_count_),
-                   -1);
-    info_[id] = Info{0, huge_count_};
+    const Slot slot = claim_slot(id, 0, huge_count_);
+    const auto at = static_cast<std::ptrdiff_t>(huge_count_);
+    order_.insert(order_.begin() + at, id);
+    labels_.insert(labels_.begin() + at, -1);
+    slots_.insert(slots_.begin() + at, slot);
     const Tick off =
         huge_count_ == 0 ? 0 : mem_->end_of(order_[huge_count_ - 1]);
     mem_->place(id, off, size);
@@ -324,30 +371,31 @@ void GeoAllocator::insert(ItemId id, Tick size) {
   }
 
   const std::size_t cls = class_of_size(size);
+  const Slot slot = claim_slot(id, cls, order_.size());
   // Place immediately after the final item (Algorithm 3), label ell.
   const Tick off = order_.empty() ? 0 : mem_->end_of(order_.back());
   mem_->place(id, off, size);
-  info_[id] = Info{cls, order_.size()};
   order_.push_back(id);
   labels_.push_back(ell_);
-  class_items_[cls].insert({size, id});
+  slots_.push_back(slot);
+  class_items_[cls].insert({size, id, slot});
 
   bump_counters_and_rebuild(cls, /*is_insert=*/true);
 }
 
 void GeoAllocator::erase(ItemId id) {
-  auto iit = info_.find(id);
-  MEMREAL_CHECK_MSG(iit != info_.end(), "erase of unknown item " << id);
-  const Info inf = iit->second;
+  const Slot* found = slot_of_.find(id);
+  MEMREAL_CHECK_MSG(found != nullptr, "erase of unknown item " << id);
+  const Slot slot = *found;
+  const Info inf = info_[slot];
   const int label = labels_[inf.pos];
 
   if (label < 0) {
     // Huge delete: remove and close the hole (compacts huge prefix and
     // shifts the rest left).  Cost <= L / size <= O(eps^-1/2).
     mem_->remove(id);
-    order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(inf.pos));
-    labels_.erase(labels_.begin() + static_cast<std::ptrdiff_t>(inf.pos));
-    info_.erase(iit);
+    erase_at(inf.pos);
+    release_slot(id, slot);
     --huge_count_;
     apply_layout(inf.pos);
     return;
@@ -355,6 +403,7 @@ void GeoAllocator::erase(ItemId id) {
 
   const std::size_t cls = inf.cls;
   const int js = jstar_[cls];
+  GeoClassItems& items = class_items_[cls];
   bool swapped = false;
   Tick swap_waste = 0;
   std::size_t hole_pos;
@@ -363,53 +412,50 @@ void GeoAllocator::erase(ItemId id) {
     // Swap in the smallest class item I' (Algorithm 4 lines 5-8); the
     // invariants guarantee one of minimum logical size lives in level j*
     // (ties are resolved toward the deep copy).
-    auto& set = class_items_[cls];
-    MEMREAL_CHECK(!set.empty());
-    auto first = set.begin();
-    const Tick min_size = first->first;
-    ItemId other = kNoItem;
-    for (auto sit = first; sit != set.end() && sit->first == min_size;
-         ++sit) {
-      if (sit->second == id) continue;
-      if (labels_[info_.at(sit->second).pos] >= js) {
-        other = sit->second;
+    MEMREAL_CHECK(!items.empty());
+    const Tick min_size = items.entries().front().size;
+    GeoClassItems::Entry other;
+    for (const GeoClassItems::Entry& e : items.entries()) {
+      if (e.size != min_size) break;
+      if (e.id == id) continue;
+      if (labels_[info_[e.slot].pos] >= js) {
+        other = e;
         break;
       }
     }
-    MEMREAL_CHECK_MSG(other != kNoItem,
+    MEMREAL_CHECK_MSG(other.id != kNoItem,
                       "invariant violated: no class minimum in level j*");
-    const Info& oinf = info_.at(other);
     const Tick my_extent = mem_->extent_of(id);
-    MEMREAL_CHECK_MSG(mem_->extent_of(other) <= my_extent,
+    MEMREAL_CHECK_MSG(other.size <= my_extent,
                       "swap candidate larger than deleted item");
 
     const std::size_t p = inf.pos;
-    const std::size_t q = oinf.pos;
+    const std::size_t q = info_[other.slot].pos;
     MEMREAL_CHECK(q > p);
-    const Tick slot = mem_->offset_of(id);
+    const Tick off = mem_->offset_of(id);
     mem_->remove(id);
-    info_.erase(iit);
-    set.erase({my_extent, id});           // the deleted item leaves its class
-    set.erase({mem_->extent_of(other), other});  // I' re-keyed below
-    set.insert({my_extent, other});
-    mem_->move_to(other, slot);
-    mem_->set_extent(other, my_extent);
-    info_[other].pos = p;  // I' takes I's slot and inherits its label
-    order_[p] = other;
-    order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(q));
-    labels_.erase(labels_.begin() + static_cast<std::ptrdiff_t>(q));
+    release_slot(id, slot);
+    items.erase(my_extent, id);         // the deleted item leaves its class
+    items.erase(other.size, other.id);  // I' re-keyed below
+    items.insert({my_extent, other.id, other.slot});
+    mem_->move_to(other.id, off);
+    mem_->set_extent(other.id, my_extent);
+    // I' takes I's place in the order and inherits its label.
+    info_[other.slot].pos = static_cast<std::uint32_t>(p);
+    order_[p] = other.id;
+    slots_[p] = other.slot;
+    erase_at(q);
     hole_pos = q;
     swapped = true;
     // Waste bound: class width (exact intra-class extent difference).
     swap_waste = class_hi_[cls] - class_lo_[cls];
   } else {
     // Delete inside level j*: just remove.
-    class_items_[cls].erase({mem_->extent_of(id), id});
+    items.erase(mem_->extent_of(id), id);
     mem_->remove(id);
     hole_pos = inf.pos;
-    order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(inf.pos));
-    labels_.erase(labels_.begin() + static_cast<std::ptrdiff_t>(inf.pos));
-    info_.erase(iit);
+    erase_at(inf.pos);
+    release_slot(id, slot);
     swapped = false;
   }
   // Compact level j* (and anything to its right) — closes the hole.
@@ -427,17 +473,32 @@ void GeoAllocator::erase(ItemId id) {
 }
 
 void GeoAllocator::check_invariants() const {
-  MEMREAL_CHECK(order_.size() == info_.size());
   MEMREAL_CHECK(labels_.size() == order_.size());
-  // Layout: contiguous extents, labels ascending (huge prefix first), pos
-  // correct.
+  MEMREAL_CHECK(slots_.size() == order_.size());
+  MEMREAL_CHECK(slot_of_.size() == order_.size());
+  MEMREAL_CHECK(info_.size() == order_.size() + free_slots_.size());
+  // Slots: order_, slots_, info_ and the id map agree on every live item;
+  // each free slot is listed once and carries no id.
+  for (std::size_t k = 0; k < order_.size(); ++k) {
+    const Slot slot = slots_[k];
+    MEMREAL_CHECK(slot < info_.size());
+    MEMREAL_CHECK_MSG(info_[slot].id == order_[k] && info_[slot].pos == k,
+                      "info_[slots_[" << k << "]] disagrees with order_");
+    MEMREAL_CHECK(slot_of_.at(order_[k]) == slot);
+  }
+  std::vector<bool> listed(info_.size(), false);
+  for (const Slot slot : free_slots_) {
+    MEMREAL_CHECK(slot < info_.size() && !listed[slot]);
+    MEMREAL_CHECK_MSG(info_[slot].id == kNoItem, "free slot holds an id");
+    listed[slot] = true;
+  }
+  // Layout: contiguous extents, labels ascending (huge prefix first).
   Tick off = 0;
   int prev_label = -1;
   for (std::size_t k = 0; k < order_.size(); ++k) {
     const ItemId id = order_[k];
     const int label = labels_[k];
     MEMREAL_CHECK_MSG(mem_->offset_of(id) == off, "layout not contiguous");
-    MEMREAL_CHECK(info_.at(id).pos == k);
     MEMREAL_CHECK_MSG(label >= prev_label && label <= ell_,
                       "labels out of order");
     MEMREAL_CHECK_MSG((label < 0) == (k < huge_count_),
@@ -448,7 +509,7 @@ void GeoAllocator::check_invariants() const {
   // Waste: total inflation across GEO's own items stays below eps.  (Under
   // the combined allocator, other items share the Memory.)
   Tick waste = 0;
-  for (const auto& [id, inf] : info_) {
+  for (const ItemId id : order_) {
     waste += mem_->extent_of(id) - mem_->size_of(id);
   }
   MEMREAL_CHECK_MSG(waste <= eps_t_, "inflation waste above eps");
@@ -458,11 +519,8 @@ void GeoAllocator::check_invariants() const {
   std::vector<std::vector<std::uint64_t>> cnt(
       classes,
       std::vector<std::uint64_t>(static_cast<std::size_t>(ell_) + 1, 0));
-  for (const auto& [id, inf] : info_) {
-    MEMREAL_CHECK(inf.pos < order_.size() && order_[inf.pos] == id);
-    const int label = labels_[inf.pos];
-    if (label < 0) continue;
-    cnt[inf.cls][static_cast<std::size_t>(label)] += 1;
+  for (std::size_t k = huge_count_; k < order_.size(); ++k) {
+    cnt[info_[slots_[k]].cls][static_cast<std::size_t>(labels_[k])] += 1;
   }
   for (std::size_t i = 0; i < classes; ++i) {
     std::uint64_t suffix = 0;
@@ -474,28 +532,33 @@ void GeoAllocator::check_invariants() const {
                                                   << " has " << suffix);
     }
   }
-  // Some item of minimum logical size of every inhabited class sits in
-  // level j* (needed for deletions to be well-defined; ties may leave
-  // equal-size copies in shallower levels).
+  // Class arrays: sorted by (logical size, id), keyed by current extent,
+  // each entry's slot naming its id and class; together they hold exactly
+  // the non-huge items.  Some item of minimum logical size of every
+  // inhabited class sits in level j* (needed for deletions to be
+  // well-defined; ties may leave equal-size copies in shallower levels).
+  std::size_t entries = 0;
   for (std::size_t i = 0; i < classes; ++i) {
-    if (class_items_[i].empty()) continue;
-    const Tick min_size = class_items_[i].begin()->first;
+    const std::span<const GeoClassItems::Entry> items =
+        class_items_[i].entries();
+    entries += items.size();
     bool deep = false;
-    for (auto it = class_items_[i].begin();
-         it != class_items_[i].end() && it->first == min_size; ++it) {
-      if (labels_[info_.at(it->second).pos] >= jstar_[i]) {
+    for (std::size_t m = 0; m < items.size(); ++m) {
+      const GeoClassItems::Entry& e = items[m];
+      MEMREAL_CHECK(m == 0 || key_less(items[m - 1], e.size, e.id));
+      MEMREAL_CHECK(e.slot < info_.size());
+      const Info& inf = info_[e.slot];
+      MEMREAL_CHECK_MSG(inf.id == e.id && inf.cls == i,
+                        "class entry's slot names another item");
+      MEMREAL_CHECK(labels_[inf.pos] >= 0);
+      MEMREAL_CHECK(mem_->extent_of(e.id) == e.size);
+      if (e.size == items.front().size && labels_[inf.pos] >= jstar_[i]) {
         deep = true;
-        break;
       }
     }
-    MEMREAL_CHECK_MSG(deep, "class minimum escaped level j*");
+    MEMREAL_CHECK_MSG(items.empty() || deep, "class minimum escaped level j*");
   }
-  // Class sets keyed by current logical size.
-  for (std::size_t i = 0; i < classes; ++i) {
-    for (const auto& [key, id] : class_items_[i]) {
-      MEMREAL_CHECK(mem_->extent_of(id) == key);
-    }
-  }
+  MEMREAL_CHECK(entries == order_.size() - huge_count_);
 }
 
 }  // namespace memreal

@@ -29,20 +29,27 @@
 // extents, left-aligned at 0.  An item's label is the deepest level that
 // contains it; level j = all items with label >= j.
 //
-// Bookkeeping: labels live only in labels_, an array parallel to the layout
-// order order_ (huge items carry -1), so every level boundary is a binary
-// search and a level rebuild — a stable partition of a suffix of order_ by
-// new label — is a counting sort over the ell+1 labels, with no hash lookup
-// per comparison.
+// Bookkeeping: every item owns a dense slot, a uint32_t index into info_
+// ({id, cls, pos}); freed slots are reused through a free list.  The id ->
+// slot map is consulted once per insert/erase and in label_of; everything
+// else addresses items by slot.  Labels live only in labels_, an array
+// parallel to the layout order order_ (huge items carry -1), and slots_
+// sits beside both, so every level boundary is a binary search, a pos
+// refresh is an array walk, and a level rebuild — a stable partition of a
+// suffix of order_ by new label — is a counting sort over the ell+1
+// labels.  Each size class is a flat array sorted by (logical size, id)
+// whose entries carry their slot, so ranking a class's smallest members
+// is a sequential scan; an insert or erase there is one memmove, no worse
+// than the order_ erase every delete already pays.
 #pragma once
 
 #include <cstdint>
-#include <set>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "core/allocator.h"
 #include "core/layout_store.h"
+#include "util/flat_map.h"
 #include "util/rng.h"
 
 namespace memreal {
@@ -54,6 +61,30 @@ struct GeoConfig {
   /// instead of the randomized draws.  The paper's analysis breaks and a
   /// single-class attack can synchronize expensive rebuilds.
   bool deterministic_thresholds = false;
+};
+
+/// One GEO size class: its items sorted by (logical size, id), the order
+/// level rebuilds rank them in, each entry carrying the item's GEO slot.
+class GeoClassItems {
+ public:
+  struct Entry {
+    Tick size = 0;           ///< logical size (the item's current extent)
+    ItemId id = kNoItem;
+    std::uint32_t slot = 0;  ///< the item's index in GeoAllocator's info_
+  };
+
+  /// Adds an entry; a key (size, id) already present is an invariant
+  /// violation.
+  void insert(const Entry& e);
+  /// Removes the entry keyed (size, id); an absent key is an invariant
+  /// violation, not a no-op.
+  void erase(Tick size, ItemId id);
+
+  [[nodiscard]] bool empty() const { return entries_.empty(); }
+  [[nodiscard]] std::span<const Entry> entries() const { return entries_; }
+
+ private:
+  std::vector<Entry> entries_;
 };
 
 class GeoAllocator final : public Allocator {
@@ -89,25 +120,27 @@ class GeoAllocator final : public Allocator {
   [[nodiscard]] int label_of(ItemId id) const;
 
  private:
+  using Slot = std::uint32_t;
+
+  /// Per-item record, indexed by slot; a free slot carries id kNoItem.
   struct Info {
-    std::size_t cls = 0;  ///< size class (unused for huge items)
-    std::size_t pos = 0;  ///< index in order_ (and labels_)
+    ItemId id = kNoItem;
+    std::uint32_t cls = 0;  ///< size class (unused for huge items)
+    std::uint32_t pos = 0;  ///< index in order_ (and labels_, slots_)
   };
-
-  /// A level-rebuild candidate: one class member among the smallest.
-  struct Candidate {
-    Tick size = 0;           ///< logical size (class-set key)
-    std::size_t pos = 0;     ///< index in order_
-    bool in_suffix = false;  ///< inside the rebuilt suffix
-  };
-
-  using ClassSet = std::set<std::pair<Tick, ItemId>>;  ///< by logical size
 
   /// Relocates order_[from, end) extent-contiguously behind
   /// order_[from - 1] (or from 0) in one LayoutStore::apply_run.
   void place_from(std::size_t from);
   /// place_from plus a pos refresh, for callers that shifted indices.
   void apply_layout(std::size_t from);
+  /// Claims a slot for a new item at order_ index `pos` and maps id to
+  /// it; a live id is an invariant violation.
+  [[nodiscard]] Slot claim_slot(ItemId id, std::size_t cls, std::size_t pos);
+  /// Unmaps id and returns its slot to the free list.
+  void release_slot(ItemId id, Slot slot);
+  /// Drops order_/labels_/slots_ entry k.
+  void erase_at(std::size_t k);
   [[nodiscard]] std::size_t suffix_start_for_label(int label) const;
   void rebuild_level(int j0);
   void waste_recovery();
@@ -136,8 +169,11 @@ class GeoAllocator final : public Allocator {
 
   std::vector<ItemId> order_;  ///< sorted: huge first, then by label asc
   std::vector<int> labels_;    ///< labels_[k] = label of order_[k]
-  std::unordered_map<ItemId, Info> info_;
-  std::vector<ClassSet> class_items_;
+  std::vector<Slot> slots_;    ///< slots_[k] = slot of order_[k]
+  std::vector<Info> info_;     ///< by slot
+  std::vector<Slot> free_slots_;
+  FlatIdMap<Slot> slot_of_;
+  std::vector<GeoClassItems> class_items_;
   std::size_t huge_count_ = 0;
 
   Tick waste_acc_ = 0;
@@ -146,10 +182,10 @@ class GeoAllocator final : public Allocator {
   std::size_t level_rebuilds_ = 0;
 
   // rebuild_level scratch, kept across calls so a rebuild does not allocate.
-  std::vector<Candidate> cand_;
   std::vector<int> new_labels_;      ///< by suffix position
   std::vector<std::size_t> bucket_;  ///< counting-sort offsets per label
   std::vector<ItemId> sorted_;       ///< suffix in new-label order
+  std::vector<Slot> sorted_slots_;   ///< parallel to sorted_
 };
 
 }  // namespace memreal

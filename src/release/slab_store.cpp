@@ -192,18 +192,21 @@ void SlabStore::move_to(ItemId id, Tick offset) {
   moved_ += r.size;
 }
 
+bool SlabStore::run_slots_distinct(std::size_t lo) {
+  // k positions inside a range of k: distinct iff none repeats.
+  run_seen_.assign(run_slots_.size(), 0);
+  for (const std::uint32_t slot : run_slots_) {
+    std::uint8_t& seen = run_seen_[index_pos_[slot] - lo];
+    if (seen != 0) return false;
+    seen = 1;
+  }
+  return true;
+}
+
 bool SlabStore::run_is_block(std::size_t lo, Tick offset, Tick end,
                              bool in_index_order) {
   const std::size_t k = run_slots_.size();
-  if (!in_index_order) {
-    // k positions inside a range of k: distinct iff none repeats.
-    run_seen_.assign(k, 0);
-    for (const std::uint32_t slot : run_slots_) {
-      std::uint8_t& seen = run_seen_[index_pos_[slot] - lo];
-      if (seen != 0) return false;
-      seen = 1;
-    }
-  }
+  if (!in_index_order && !run_slots_distinct(lo)) return false;
   // Extents >= 1 make the run's new keys strictly increasing, so only the
   // two ends need checking against the unmoved neighbors.
   const Record& first = recs_[run_slots_.front()];
@@ -296,9 +299,23 @@ Tick SlabStore::apply_run(std::span<const ItemId> ids, Tick offset) {
   return offset;
 }
 
+bool SlabStore::names_every_item(std::span<const ItemId> ids) {
+  const std::size_t n = recs_.size();
+  if (ids.size() != n || n == 0) return false;
+  // The usual caller (SIMPLE's rebuild) lists its layout order, which is
+  // the index order: a permutation of every item, with no id probe.
+  std::size_t j = 0;
+  while (j < n && recs_[by_offset_[j]].id == ids[j]) ++j;
+  if (j == n) return true;
+  // Any other list of n ids names every item iff none repeats.
+  run_slots_.resize(n);
+  for (j = 0; j < n; ++j) run_slots_[j] = slot_of(ids[j]);
+  return run_slots_distinct(0);
+}
+
 void SlabStore::reset_extents(std::span<const ItemId> ids) {
   MEMREAL_CHECK_MSG(in_update_, "layout mutation outside an update");
-  if (ids.size() == recs_.size() && !ids.empty()) {
+  if (names_every_item(ids)) {
     // Whole-layout revert (step 1 of every SIMPLE rebuild): one linear
     // pass over the records instead of one id probe per item.
     for (Record& r : recs_) {

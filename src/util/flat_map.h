@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -54,15 +55,21 @@ class FlatIdMap {
 
   /// Inserts value-initialized when absent, like std::unordered_map.
   [[nodiscard]] V& operator[](ItemId key) {
+    return *try_emplace(key, V{}).first;
+  }
+
+  /// Inserts `value` when `key` is absent, in one probe.  Returns the
+  /// key's value and whether it was inserted; a present key keeps its
+  /// value.
+  std::pair<V*, bool> try_emplace(ItemId key, const V& value) {
     MEMREAL_CHECK_MSG(key != kNoItem, "reserved key");
     if ((size_ + 1) * 8 >= keys_.size() * 5) grow();
     const std::size_t b = locate(key);
-    if (keys_[b] != key) {
-      keys_[b] = key;
-      values_[b] = V{};
-      ++size_;
-    }
-    return values_[b];
+    if (keys_[b] == key) return {&values_[b], false};
+    keys_[b] = key;
+    values_[b] = value;
+    ++size_;
+    return {&values_[b], true};
   }
 
   void erase(ItemId key) {

@@ -454,5 +454,93 @@ TEST(Geo, LevelCountsTrackScriptedUpdates) {
   EXPECT_EQ(geo.level_item_count(0), 11u);
 }
 
+// -- Slot bookkeeping ---------------------------------------------------------
+
+TEST(GeoClassItems, KeepsKeyOrderAndRefusesAbsentOrDuplicateKeys) {
+  GeoClassItems items;
+  items.insert({10, 2, 0});
+  items.insert({7, 3, 1});
+  items.insert({10, 1, 2});
+  const auto e = items.entries();
+  ASSERT_EQ(e.size(), 3u);
+  EXPECT_EQ(e[0].id, 3u);  // (7, 3) < (10, 1) < (10, 2)
+  EXPECT_EQ(e[1].id, 1u);
+  EXPECT_EQ(e[2].slot, 0u);
+  // An erase must name a present (size, id) key: a right id under the
+  // wrong size, or a key already gone, is an invariant violation.
+  EXPECT_THROW(items.erase(10, 3), InvariantViolation);
+  EXPECT_THROW(items.erase(8, 1), InvariantViolation);
+  EXPECT_THROW(items.insert({10, 1, 5}), InvariantViolation);
+  items.erase(10, 1);
+  EXPECT_THROW(items.erase(10, 1), InvariantViolation);
+  ASSERT_EQ(items.entries().size(), 2u);
+  EXPECT_EQ(items.entries()[1].id, 2u);
+}
+
+TEST(Geo, SlotReuseKeepsBookkeepingConsistent) {
+  // An erase frees the item's slot and the next insert reuses it.  Every
+  // path that frees or re-keys a slot — plain, huge and swap deletes, and
+  // waste recovery — must leave the layout order, the slot records, the id
+  // map and the class arrays in agreement; check_invariants asserts all
+  // of it after every step.
+  const double eps = 1.0 / 64;
+  Memory mem = testing::strict_memory(kCap, eps);
+  GeoAllocator geo = make_geo(mem, eps);
+  Engine engine(mem, geo);
+  const Tick huge = geo.huge_threshold() * 2;
+  // Just below the huge threshold: the widest class, so each swap-delete
+  // adds the most waste and a recovery comes within ~100 swaps.
+  const Tick big = geo.huge_threshold() - geo.huge_threshold() / 32;
+  std::map<ItemId, Tick> live;
+  auto step = [&](const Update& u) {
+    engine.step(u);
+    if (u.is_insert()) {
+      live[u.id] = u.size;
+    } else {
+      live.erase(u.id);
+    }
+    geo.check_invariants();
+    expect_level_counts_match(geo, mem);
+  };
+  auto erase = [&](ItemId id) { step(Update::erase(id, live.at(id))); };
+
+  for (ItemId i = 1; i <= 16; ++i) step(Update::insert(i, big + i));
+  step(Update::insert(100, huge));
+  // Erase-then-reinsert of the same ids, around huge inserts and erases.
+  for (const ItemId i : {3, 7, 11}) erase(i);
+  step(Update::insert(101, huge + 1));
+  for (const ItemId i : {11, 3, 7}) step(Update::insert(i, big - i));
+  erase(100);
+  step(Update::insert(100, huge + 2));
+  erase(101);
+
+  // Swap-delete an item outside its class's level j*, then re-insert its
+  // id, until the accumulated waste forces a recovery.
+  const std::size_t recoveries = geo.waste_recoveries();
+  std::size_t swaps = 0;
+  for (int round = 0; round < 400 && geo.waste_recoveries() == recoveries;
+       ++round) {
+    ItemId victim = kNoItem;
+    for (const auto& [id, size] : live) {
+      if (size >= geo.huge_threshold()) continue;
+      const int label = geo.label_of(id);
+      if (label < geo.deepest_level_for_class(geo.class_of_size(size))) {
+        victim = id;
+        break;
+      }
+    }
+    ASSERT_NE(victim, kNoItem) << "no swap-delete candidate in round "
+                               << round;
+    const Tick size = live.at(victim);
+    erase(victim);
+    ++swaps;
+    step(Update::insert(victim, size));
+  }
+  EXPECT_GT(geo.waste_recoveries(), recoveries) << swaps << " swaps";
+  erase(100);
+  for (const ItemId i : {1, 2, 16}) erase(i);
+  EXPECT_EQ(geo.level_item_count(0), live.size());
+}
+
 }  // namespace
 }  // namespace memreal

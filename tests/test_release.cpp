@@ -425,6 +425,14 @@ class StorePair {
     finish("run");
   }
 
+  void reset_extents(const std::vector<ItemId>& ids) {
+    memory_.begin_update(1, false);
+    slab_.begin_update(1, false);
+    memory_.reset_extents(ids);
+    slab_.reset_extents(ids);
+    finish("reset_extents");
+  }
+
   const SlabStore& slab() const { return slab_; }
 
  private:
@@ -478,6 +486,25 @@ TEST(SlabStore, RunNamingAnIdTwiceMatchesMemory) {
     EXPECT_EQ(pair.slab().offset_of(3), 120u);
     EXPECT_EQ(pair.slab().total_moved(), 30u + 30u);  // 3 places + 3 moves
   }
+}
+
+TEST(SlabStore, ResetExtentsNamingAnIdTwiceMatchesMemory) {
+  // reset_extents promises exactly the per-id reset_extent loop.  A list
+  // of n ids that repeats one leaves an item unnamed, so it must not take
+  // the whole-layout revert: item 2 keeps its inflated extent.  A
+  // permutation of every item not in layout order still reverts them all.
+  StorePair pair;
+  pair.place(1, 0, 10, /*extent=*/15);
+  pair.place(2, 15, 10, /*extent=*/20);
+  pair.place(3, 35, 10, /*extent=*/12);
+  pair.reset_extents({3, 1, 3});
+  EXPECT_EQ(pair.slab().extent_of(1), 10u);
+  EXPECT_EQ(pair.slab().extent_of(2), 20u);
+  EXPECT_EQ(pair.slab().extent_of(3), 10u);
+  EXPECT_EQ(pair.slab().extent_mass(), 40u);
+  pair.reset_extents({2, 3, 1});
+  EXPECT_EQ(pair.slab().extent_of(2), 10u);
+  EXPECT_EQ(pair.slab().extent_mass(), 30u);
 }
 
 TEST(SlabStore, ReorderingRunOverMiddleIndexRange) {

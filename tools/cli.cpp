@@ -4,6 +4,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iostream>
+
+#include "obs/metrics.h"
 
 namespace memreal::cli {
 
@@ -63,6 +67,49 @@ void parse_engine(const char* value, std::string& engine, bool& arena) {
   } else if (engine != "validated" && engine != "release") {
     usage_error("--engine must be 'validated', 'release', or 'arena'");
   }
+}
+
+bool parse_metrics_flag(int argc, char** argv, int& i, MetricsFlags& flags) {
+  const std::string flag = argv[i];
+  std::string* value = nullptr;
+  if (flag == "--metrics-summary") {
+    flags.summary = true;
+    return true;
+  } else if (flag == "--metrics-out") {
+    value = &flags.out;
+  } else if (flag == "--prom-out") {
+    value = &flags.prom_out;
+  } else {
+    return false;
+  }
+  if (i + 1 >= argc) usage_error("missing value for " + flag);
+  *value = argv[++i];
+  return true;
+}
+
+int write_metrics_outputs(const MetricsFlags& flags,
+                          const obs::MetricRegistry& reg) {
+  auto write = [](const std::string& path, const std::string& text) {
+    std::ofstream out(path);
+    if (!out) {
+      std::fprintf(stderr, "%s: cannot write '%s'\n", g_tool, path.c_str());
+      return false;
+    }
+    out << text;
+    return true;
+  };
+  if (!flags.out.empty() &&
+      !write(flags.out, reg.snapshot_json().dump(2) + "\n")) {
+    return 1;
+  }
+  if (!flags.prom_out.empty() &&
+      !write(flags.prom_out, reg.prometheus_text())) {
+    return 1;
+  }
+  if (flags.summary) {
+    std::cout << "metrics summary:\n" << reg.summary_table();
+  }
+  return 0;
 }
 
 }  // namespace memreal::cli

@@ -10,6 +10,10 @@
 #include <cstdint>
 #include <string>
 
+namespace memreal::obs {
+class MetricRegistry;
+}  // namespace memreal::obs
+
 namespace memreal::cli {
 
 /// Names the running tool in usage errors; `hint` follows the message in
@@ -33,5 +37,28 @@ void set_tool(const char* name,
 /// store, "arena" is an alias for `--arena` over the validated store.
 /// Anything else is a usage error.
 void parse_engine(const char* value, std::string& engine, bool& arena);
+
+/// The metrics output flags of the tools that run with the observability
+/// subsystem armed.
+struct MetricsFlags {
+  bool summary = false;  ///< --metrics-summary: print the summary table
+  std::string out;       ///< --metrics-out FILE
+  std::string prom_out;  ///< --prom-out FILE: Prometheus text dump
+
+  [[nodiscard]] bool any() const {
+    return summary || !out.empty() || !prom_out.empty();
+  }
+};
+
+/// Consumes argv[i] when it is --metrics-summary, --metrics-out or
+/// --prom-out, advancing `i` past a flag's value (a missing value is a
+/// usage error); returns whether it did.
+bool parse_metrics_flag(int argc, char** argv, int& i, MetricsFlags& flags);
+
+/// Writes the final registry snapshot (JSON), the Prometheus dump and the
+/// summary table that `flags` ask for.  Returns 0, or 1 after a
+/// "<tool>: cannot write" line on stderr when a file cannot be opened.
+int write_metrics_outputs(const MetricsFlags& flags,
+                          const obs::MetricRegistry& reg);
 
 }  // namespace memreal::cli

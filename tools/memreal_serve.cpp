@@ -109,10 +109,8 @@ struct Options {
   bool verify_only = false;
   std::string json_path = "BENCH_serve.json";
   bool json_path_set = false;
-  std::string metrics_out;
+  MetricsFlags metrics;
   std::size_t metrics_interval_ms = 0;
-  std::string prom_out;
-  bool metrics_summary = false;
   bool overhead = true;
   bool quiet = false;
 };
@@ -157,6 +155,7 @@ Options parse_args(int argc, char** argv) {
       if (i + 1 >= argc) usage_error("missing value for " + flag);
       return argv[++i];
     };
+    if (parse_metrics_flag(argc, argv, i, o.metrics)) continue;
     if (flag == "--help" || flag == "-h") {
       std::fputs(kUsage, stdout);
       std::exit(0);
@@ -202,14 +201,8 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--json") {
       o.json_path = next();
       o.json_path_set = true;
-    } else if (flag == "--metrics-out") {
-      o.metrics_out = next();
     } else if (flag == "--metrics-interval") {
       o.metrics_interval_ms = static_cast<std::size_t>(parse_u64(flag, next()));
-    } else if (flag == "--prom-out") {
-      o.prom_out = next();
-    } else if (flag == "--metrics-summary") {
-      o.metrics_summary = true;
     } else if (flag == "--skip-overhead") {
       o.overhead = false;
     } else if (flag == "--quiet") {
@@ -781,11 +774,11 @@ int run(const Options& o) {
   if (!o.verify_only) {
     std::ofstream snap_file;
     std::ostream* snap_out = nullptr;
-    if (!o.metrics_out.empty()) {
-      snap_file.open(o.metrics_out);
+    if (!o.metrics.out.empty()) {
+      snap_file.open(o.metrics.out);
       if (!snap_file) {
         std::fprintf(stderr, "memreal_serve: cannot write '%s'\n",
-                     o.metrics_out.c_str());
+                     o.metrics.out.c_str());
         return 1;
       }
       snap_out = &snap_file;
@@ -897,18 +890,18 @@ int run(const Options& o) {
       records.push(std::move(orec));
     }
 
-    if (!o.prom_out.empty()) {
-      std::ofstream prom(o.prom_out);
+    if (!o.metrics.prom_out.empty()) {
+      std::ofstream prom(o.metrics.prom_out);
       if (!prom) {
         std::fprintf(stderr, "memreal_serve: cannot write '%s'\n",
-                     o.prom_out.c_str());
+                     o.metrics.prom_out.c_str());
         return 1;
       }
       prom << obs::MetricRegistry::global().prometheus_text();
-      std::cout << "wrote " << o.prom_out << "\n";
+      std::cout << "wrote " << o.metrics.prom_out << "\n";
     }
-    if (snap_out != nullptr) std::cout << "wrote " << o.metrics_out << "\n";
-    if (o.metrics_summary) {
+    if (snap_out != nullptr) std::cout << "wrote " << o.metrics.out << "\n";
+    if (o.metrics.summary) {
       std::cout << "\nmetric summary (last wired point):\n"
                 << obs::MetricRegistry::global().summary_table();
     }

@@ -105,14 +105,8 @@ struct Options {
   std::size_t audit_every = 0;
   bool validate = true;
   std::string json_path;
-  bool metrics_summary = false;
-  std::string metrics_out;
-  std::string prom_out;
+  MetricsFlags metrics;
   bool quiet = false;
-
-  [[nodiscard]] bool metrics_wired() const {
-    return metrics_summary || !metrics_out.empty() || !prom_out.empty();
-  }
 };
 
 Options parse_args(int argc, char** argv) {
@@ -123,6 +117,7 @@ Options parse_args(int argc, char** argv) {
       if (i + 1 >= argc) usage_error("missing value for " + flag);
       return argv[++i];
     };
+    if (parse_metrics_flag(argc, argv, i, o.metrics)) continue;
     if (flag == "--help" || flag == "-h") {
       std::fputs(kUsage, stdout);
       std::exit(0);
@@ -170,12 +165,6 @@ Options parse_args(int argc, char** argv) {
       o.validate = false;
     } else if (flag == "--json") {
       o.json_path = next();
-    } else if (flag == "--metrics-summary") {
-      o.metrics_summary = true;
-    } else if (flag == "--metrics-out") {
-      o.metrics_out = next();
-    } else if (flag == "--prom-out") {
-      o.prom_out = next();
     } else if (flag == "--quiet") {
       o.quiet = true;
     } else {
@@ -389,35 +378,6 @@ Json results_json(const Options& o, const ShardedEngine& engine,
   return doc;
 }
 
-/// Writes the final registry snapshot / Prometheus dump / summary table
-/// the --metrics-* flags asked for.  Shared verbatim by memreal_trace.
-int write_metrics_outputs(const char* tool, const obs::MetricRegistry& reg,
-                          const std::string& metrics_out,
-                          const std::string& prom_out, bool summary) {
-  if (!metrics_out.empty()) {
-    std::ofstream out(metrics_out);
-    if (!out) {
-      std::fprintf(stderr, "%s: cannot write '%s'\n", tool,
-                   metrics_out.c_str());
-      return 1;
-    }
-    out << reg.snapshot_json().dump(2) << "\n";
-  }
-  if (!prom_out.empty()) {
-    std::ofstream out(prom_out);
-    if (!out) {
-      std::fprintf(stderr, "%s: cannot write '%s'\n", tool,
-                   prom_out.c_str());
-      return 1;
-    }
-    out << reg.prometheus_text();
-  }
-  if (summary) {
-    std::cout << "metrics summary:\n" << reg.summary_table();
-  }
-  return 0;
-}
-
 int run(const Options& o) {
   const Tick shard_capacity = Tick{1} << o.capacity_log2;
 
@@ -438,7 +398,7 @@ int run(const Options& o) {
   config.rebalance_threshold = o.rebalance;
   config.incremental_validation = o.validate;
   config.audit_every = o.audit_every;
-  if (o.metrics_wired()) {
+  if (o.metrics.any()) {
     obs::MetricRegistry::global().reset();
     config.metrics = &obs::MetricRegistry::global();
     config.workload_label = o.workload;
@@ -498,13 +458,7 @@ int run(const Options& o) {
     }
     out << results_json(o, engine, seq, stats).dump(2) << "\n";
   }
-  if (o.metrics_wired()) {
-    const int rc = write_metrics_outputs(
-        "memreal_shard", obs::MetricRegistry::global(), o.metrics_out,
-        o.prom_out, o.metrics_summary);
-    if (rc != 0) return rc;
-  }
-  return 0;
+  return write_metrics_outputs(o.metrics, obs::MetricRegistry::global());
 }
 
 }  // namespace

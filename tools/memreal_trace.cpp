@@ -80,9 +80,7 @@ struct Options {
   unsigned capacity_log2 = 40;
   bool capacity_log2_set = false;
   std::string out_path = "trace.json";
-  bool metrics_summary = false;
-  std::string metrics_out;
-  std::string prom_out;
+  MetricsFlags metrics;
   bool quiet = false;
 };
 
@@ -94,6 +92,7 @@ Options parse_args(int argc, char** argv) {
       if (i + 1 >= argc) usage_error("missing value for " + flag);
       return argv[++i];
     };
+    if (parse_metrics_flag(argc, argv, i, o.metrics)) continue;
     if (flag == "--help" || flag == "-h") {
       std::fputs(kUsage, stdout);
       std::exit(0);
@@ -135,12 +134,6 @@ Options parse_args(int argc, char** argv) {
       o.capacity_log2_set = true;
     } else if (flag == "--out") {
       o.out_path = next();
-    } else if (flag == "--metrics-summary") {
-      o.metrics_summary = true;
-    } else if (flag == "--metrics-out") {
-      o.metrics_out = next();
-    } else if (flag == "--prom-out") {
-      o.prom_out = next();
     } else if (flag == "--quiet") {
       o.quiet = true;
     } else {
@@ -283,29 +276,7 @@ int run(const Options& o) {
               << " clock]\n";
   }
 
-  if (!o.metrics_out.empty()) {
-    std::ofstream mout(o.metrics_out);
-    if (!mout) {
-      std::fprintf(stderr, "memreal_trace: cannot write '%s'\n",
-                   o.metrics_out.c_str());
-      return 1;
-    }
-    mout << obs::MetricRegistry::global().snapshot_json().dump(2) << "\n";
-  }
-  if (!o.prom_out.empty()) {
-    std::ofstream pout(o.prom_out);
-    if (!pout) {
-      std::fprintf(stderr, "memreal_trace: cannot write '%s'\n",
-                   o.prom_out.c_str());
-      return 1;
-    }
-    pout << obs::MetricRegistry::global().prometheus_text();
-  }
-  if (o.metrics_summary) {
-    std::cout << "metrics summary:\n"
-              << obs::MetricRegistry::global().summary_table();
-  }
-  return 0;
+  return write_metrics_outputs(o.metrics, obs::MetricRegistry::global());
 }
 
 }  // namespace

@@ -179,7 +179,11 @@ void GeoAllocator::apply_layout(std::size_t from) {
 
 GeoAllocator::Slot GeoAllocator::claim_slot(ItemId id, std::size_t cls,
                                             std::size_t pos) {
-  MEMREAL_CHECK_MSG(pos < std::numeric_limits<Slot>::max(),
+  // Both slot and pos stay below info_.size() after the claim (pos is at
+  // most the live count before it), so bounding info_.size() by the Slot
+  // range keeps both narrowings exact.
+  MEMREAL_CHECK_MSG(!free_slots_.empty() ||
+                        info_.size() < std::numeric_limits<Slot>::max(),
                     "too many items for GEO");
   const Slot slot = free_slots_.empty() ? static_cast<Slot>(info_.size())
                                         : free_slots_.back();

@@ -192,21 +192,18 @@ void SlabStore::move_to(ItemId id, Tick offset) {
   moved_ += r.size;
 }
 
-bool SlabStore::run_slots_distinct(std::size_t lo) {
-  // k positions inside a range of k: distinct iff none repeats.
-  run_seen_.assign(run_slots_.size(), 0);
-  for (const std::uint32_t slot : run_slots_) {
-    std::uint8_t& seen = run_seen_[index_pos_[slot] - lo];
-    if (seen != 0) return false;
-    seen = 1;
-  }
-  return true;
-}
-
 bool SlabStore::run_is_block(std::size_t lo, Tick offset, Tick end,
                              bool in_index_order) {
   const std::size_t k = run_slots_.size();
-  if (!in_index_order && !run_slots_distinct(lo)) return false;
+  if (!in_index_order) {
+    // k positions inside a range of k: distinct iff none repeats.
+    run_seen_.assign(k, 0);
+    for (const std::uint32_t slot : run_slots_) {
+      std::uint8_t& seen = run_seen_[index_pos_[slot] - lo];
+      if (seen != 0) return false;
+      seen = 1;
+    }
+  }
   // Extents >= 1 make the run's new keys strictly increasing, so only the
   // two ends need checking against the unmoved neighbors.
   const Record& first = recs_[run_slots_.front()];
@@ -299,34 +296,25 @@ Tick SlabStore::apply_run(std::span<const ItemId> ids, Tick offset) {
   return offset;
 }
 
-bool SlabStore::names_every_item(std::span<const ItemId> ids) {
-  const std::size_t n = recs_.size();
-  if (ids.size() != n || n == 0) return false;
-  // The usual caller (SIMPLE's rebuild) lists its layout order, which is
-  // the index order: a permutation of every item, with no id probe.
-  std::size_t j = 0;
-  while (j < n && recs_[by_offset_[j]].id == ids[j]) ++j;
-  if (j == n) return true;
-  // Any other list of n ids names every item iff none repeats.
-  run_slots_.resize(n);
-  for (j = 0; j < n; ++j) run_slots_[j] = slot_of(ids[j]);
-  return run_slots_distinct(0);
-}
-
 void SlabStore::reset_extents(std::span<const ItemId> ids) {
   MEMREAL_CHECK_MSG(in_update_, "layout mutation outside an update");
-  if (names_every_item(ids)) {
-    // Whole-layout revert (step 1 of every SIMPLE rebuild): one linear
-    // pass over the records instead of one id probe per item.
-    for (Record& r : recs_) {
+  // Whole-layout revert (step 1 of every SIMPLE rebuild): SIMPLE lists
+  // every item in layout order, which is the index order, so one walk
+  // along the index reverts them with no id probe.  A list that leaves
+  // the index order at position j (another order, a repeated id) has
+  // reverted exactly ids[0, j) and resets the rest per id.
+  std::size_t j = 0;
+  if (ids.size() == by_offset_.size()) {
+    for (; j < ids.size(); ++j) {
+      Record& r = recs_[by_offset_[j]];
+      if (r.id != ids[j]) break;
       extent_mass_ += r.size;
       extent_mass_ -= r.extent;
       r.extent = r.size;
     }
-    span_dirty_ = true;  // deflation can shrink the rightmost end
-    return;
+    if (j > 0) span_dirty_ = true;  // deflation can shrink the rightmost end
   }
-  for (const ItemId id : ids) reset_extent(id);
+  for (const ItemId id : ids.subspan(j)) reset_extent(id);
 }
 
 void SlabStore::set_extent(ItemId id, Tick extent) {

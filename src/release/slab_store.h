@@ -243,12 +243,6 @@ class SlabStore final : public LayoutStore {
            (pos + 1 == by_offset_.size() ||
             slot_less(slot, by_offset_[pos + 1]));
   }
-  /// Whether the k slots in run_slots_, all at index positions
-  /// [lo, lo + k), are distinct.  Fills run_seen_.
-  [[nodiscard]] bool run_slots_distinct(std::size_t lo);
-  /// Whether `ids` names every item exactly once, so reset_extents may
-  /// revert the whole layout in one pass.  May fill run_slots_.
-  [[nodiscard]] bool names_every_item(std::span<const ItemId> ids);
   /// Whether apply_run may write the run as one index block, given that
   /// the k resolved slots in run_slots_ lie in index positions
   /// [lo, lo + k) and the run spans [offset, end): the slots are distinct
@@ -285,9 +279,8 @@ class SlabStore final : public LayoutStore {
   std::vector<std::uint32_t> by_offset_;
   std::vector<std::uint32_t> index_pos_;  ///< slot -> position in by_offset_
 
-  /// apply_run / reset_extents scratch, reused across calls: each run
-  /// id's slot, and a seen-flag per candidate index position for the
-  /// distinctness check.
+  /// apply_run scratch, reused across runs: each run id's slot, and a
+  /// seen-flag per candidate index position for the distinctness check.
   std::vector<std::uint32_t> run_slots_;
   std::vector<std::uint8_t> run_seen_;
 

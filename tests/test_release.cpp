@@ -505,6 +505,18 @@ TEST(SlabStore, ResetExtentsNamingAnIdTwiceMatchesMemory) {
   pair.reset_extents({2, 3, 1});
   EXPECT_EQ(pair.slab().extent_of(2), 10u);
   EXPECT_EQ(pair.slab().extent_mass(), 30u);
+
+  // A list that follows the layout order for a prefix and then repeats an
+  // id reverts the prefix and leaves the unnamed rightmost item inflated.
+  StorePair prefix;
+  prefix.place(1, 0, 10, /*extent=*/15);
+  prefix.place(2, 15, 10, /*extent=*/20);
+  prefix.place(3, 35, 10, /*extent=*/12);
+  prefix.reset_extents({1, 2, 2});
+  EXPECT_EQ(prefix.slab().extent_of(1), 10u);
+  EXPECT_EQ(prefix.slab().extent_of(2), 10u);
+  EXPECT_EQ(prefix.slab().extent_of(3), 12u);
+  EXPECT_EQ(prefix.slab().extent_mass(), 32u);
 }
 
 TEST(SlabStore, ReorderingRunOverMiddleIndexRange) {

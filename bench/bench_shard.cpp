@@ -26,8 +26,8 @@
 
 #include "bench_common.h"
 #include "harness/cell.h"
+#include "perfadv/zoo.h"
 #include "shard/sharded_engine.h"
-#include "workload/churn.h"
 
 namespace memreal::bench {
 namespace {
@@ -49,19 +49,15 @@ std::size_t cores() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
+/// Scenario-zoo churn: sizes from the allocator's band over one shard,
+/// live-mass budget over all `shards`.
 Sequence shard_workload(const std::string& allocator, std::size_t shards,
                         std::size_t updates, std::uint64_t seed,
                         double eps = kEps) {
-  const AllocatorInfo info = allocator_info(allocator);
-  ChurnConfig c;
-  c.capacity = kShardCapacity * shards;
-  c.eps = eps;
-  c.min_size = info.sizes.min_size(eps, kShardCapacity);
-  c.max_size = info.sizes.max_size(eps, kShardCapacity) - 1;
-  c.target_load = 0.8;
-  c.churn_updates = updates;
-  c.seed = seed;
-  return make_churn(c);
+  ScenarioParams p = scenario_params_for(allocator_info(allocator), eps,
+                                         kShardCapacity, updates, seed);
+  p.capacity = kShardCapacity * shards;
+  return make_scenario("churn", p);
 }
 
 ShardedConfig shard_config(const std::string& allocator, std::size_t shards,

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <vector>
 
 #include "obs/metrics.h"
 
@@ -15,6 +16,15 @@ namespace {
 
 const char* g_tool = "memreal";
 const char* g_hint = "run with --help for usage";
+
+std::string join(const std::vector<std::string>& names) {
+  std::string out;
+  for (const std::string& n : names) {
+    if (!out.empty()) out += ", ";
+    out += n;
+  }
+  return out;
+}
 
 [[noreturn]] void bad_value(const std::string& flag, const char* value,
                             const char* why) {
@@ -67,6 +77,42 @@ void parse_engine(const char* value, std::string& engine, bool& arena) {
   } else if (engine != "validated" && engine != "release") {
     usage_error("--engine must be 'validated', 'release', or 'arena'");
   }
+}
+
+ScenarioParams workload_params(const std::string& workload,
+                               const std::string& allocator, double eps,
+                               Tick shard_capacity, std::size_t shards,
+                               std::size_t updates, std::uint64_t seed,
+                               std::size_t tenants, double zipf,
+                               Tick bytes_per_tick) {
+  if (find_scenario(workload) == nullptr) {
+    usage_error("unknown workload '" + workload + "' (known: " +
+                join(scenario_names()) + ")");
+  }
+  const AllocatorInfo info = allocator_info(allocator);
+  const std::string why =
+      scenario_incompatibility(workload, info, eps, shard_capacity);
+  if (!why.empty()) {
+    const std::string compat =
+        join(compatible_scenarios(info, eps, shard_capacity));
+    usage_error(why + " (compatible scenarios for " + allocator + ": " +
+                (compat.empty() ? "none at this eps and capacity" : compat) +
+                ")");
+  }
+  ScenarioParams p =
+      scenario_params_for(info, eps, shard_capacity, updates, seed);
+  p.capacity = shard_capacity * shards;
+  p.tenants = tenants;
+  p.palette = tenants;
+  p.zipf_s = zipf;
+  p.bytes_per_tick = bytes_per_tick;
+  if (workload == "vm_heap") {
+    // The default fill is admissible for one cell but leaves no routing
+    // headroom across shards: a GC burst's refill wave can find every
+    // shard near its own budget.
+    p.target_load = 0.7;
+  }
+  return p;
 }
 
 bool parse_metrics_flag(int argc, char** argv, int& i, MetricsFlags& flags) {

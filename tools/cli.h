@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <string>
 
+#include "perfadv/zoo.h"
+
 namespace memreal::obs {
 class MetricRegistry;
 }  // namespace memreal::obs
@@ -37,6 +39,19 @@ void set_tool(const char* name,
 /// store, "arena" is an alias for `--arena` over the validated store.
 /// Anything else is a usage error.
 void parse_engine(const char* value, std::string& engine, bool& arena);
+
+/// Resolves a driver's `--workload` through the scenario zoo.  An unknown
+/// name is a usage error listing the zoo; a pair scenario_incompatibility
+/// rejects is a usage error giving its reason and the compatible list.
+/// Otherwise returns scenario_params_for: sizes come from the allocator's
+/// band over one shard, the live-mass budget spans every shard (capacity =
+/// shards x shard_capacity).  `tenants` is also the palette size of
+/// fixed-palette streams; `zipf` and `bytes_per_tick` pass through.
+[[nodiscard]] ScenarioParams workload_params(
+    const std::string& workload, const std::string& allocator, double eps,
+    Tick shard_capacity, std::size_t shards, std::size_t updates,
+    std::uint64_t seed, std::size_t tenants = 8, double zipf = 1.0,
+    Tick bytes_per_tick = 8);
 
 /// The metrics output flags of the tools that run with the observability
 /// subsystem armed.

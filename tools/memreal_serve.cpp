@@ -35,7 +35,6 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
-#include "workload/churn.h"
 
 namespace {
 
@@ -227,46 +226,18 @@ Options parse_args(int argc, char** argv) {
   if (o.verify_only && !o.verify) {
     usage_error("--verify-only and --skip-verify are mutually exclusive");
   }
-  if (o.workload != "churn") {
-    const ScenarioInfo* s = find_scenario(o.workload);
-    if (s == nullptr) {
-      std::string zoo;
-      for (const std::string& n : scenario_names()) zoo += ", " + n;
-      usage_error("unknown workload '" + o.workload + "' (known: churn" +
-                  zoo + ")");
-    }
-    if (s->byte_mode) {
-      usage_error("workload '" + o.workload +
-                  "' is byte-addressed; the serving layer drives "
-                  "tick-native streams (use memreal_shard for byte "
-                  "workloads)");
-    }
-    const Tick shard_capacity = Tick{1} << o.capacity_log2;
-    const std::string why = scenario_incompatibility(
-        o.workload, allocator_info(o.allocator), o.eps, shard_capacity);
-    if (!why.empty()) {
-      std::string compat;
-      for (const std::string& n : compatible_scenarios(
-               allocator_info(o.allocator), o.eps, shard_capacity)) {
-        const ScenarioInfo* info = find_scenario(n);
-        if (info != nullptr && info->byte_mode) continue;
-        if (!compat.empty()) compat += ", ";
-        compat += n;
-      }
-      usage_error(why + " (compatible scenarios for " + o.allocator + ": " +
-                  (compat.empty() ? "none at this eps" : compat) + ")");
-    }
-  } else {
-    // Churn samples the allocator's own band: only the eps ceiling and
-    // the capacity floor can refuse it.
-    const AllocatorInfo info = allocator_info(o.allocator);
-    const Tick shard_capacity = Tick{1} << o.capacity_log2;
-    std::string why;
-    if (!info.serves(info.sizes.shape(o.eps, shard_capacity), o.eps,
-                     shard_capacity, &why)) {
-      usage_error(why);
-    }
+  const ScenarioInfo* s = find_scenario(o.workload);
+  if (s != nullptr && s->byte_mode) {
+    usage_error("workload '" + o.workload +
+                "' is byte-addressed; the serving layer drives "
+                "tick-native streams (use memreal_shard for byte "
+                "workloads)");
   }
+  // Refuses an unknown workload, or one the allocator cannot serve,
+  // before the differential or any sweep point runs.
+  (void)workload_params(o.workload, o.allocator, o.eps,
+                        Tick{1} << o.capacity_log2, o.shards, o.updates,
+                        o.seed);
   return o;
 }
 
@@ -304,44 +275,15 @@ double bounded_load(double want, Tick min_size, Tick max_size, Tick capacity,
 Sequence client_workload(const Options& o, Tick shard_capacity,
                          std::size_t clients, std::size_t client,
                          std::size_t point) {
-  const AllocatorInfo info = allocator_info(o.allocator);
-  const Tick min_size = info.sizes.min_size(o.eps, shard_capacity);
-  const Tick max_size = info.sizes.max_size(o.eps, shard_capacity) - 1;
-  const Tick capacity = shard_capacity * o.shards / clients;
   const std::size_t updates = std::max<std::size_t>(50, o.updates / clients);
-  const double load = bounded_load(0.5, min_size, max_size, capacity,
-                                   std::max<std::size_t>(updates, 1'000));
   SplitMix64 mix(o.seed + 7919 * point + client);
-  Sequence s;
-  if (o.workload != "churn") {
-    // Zoo scenario: band over the shard capacity like the churn path,
-    // budget and fill bounded to this client's slice.
-    ScenarioParams p = scenario_params_for(info, o.eps, shard_capacity,
-                                           updates, mix.next());
-    p.capacity = capacity;
-    p.target_load = load;
-    s = make_scenario(o.workload, p);
-  } else if (info.sizes.fixed_palette) {
-    DiscreteChurnConfig c;
-    c.capacity = capacity;
-    c.eps = o.eps;
-    c.min_size = min_size;
-    c.max_size = max_size;
-    c.target_load = load;
-    c.churn_updates = updates;
-    c.seed = mix.next();
-    s = make_discrete_churn(c);
-  } else {
-    ChurnConfig c;
-    c.capacity = capacity;
-    c.eps = o.eps;
-    c.min_size = min_size;
-    c.max_size = max_size;
-    c.target_load = load;
-    c.churn_updates = updates;
-    c.seed = mix.next();
-    s = make_churn(c);
-  }
+  ScenarioParams p =
+      workload_params(o.workload, o.allocator, o.eps, shard_capacity,
+                      o.shards, updates, mix.next());
+  p.capacity /= clients;
+  p.target_load = bounded_load(0.5, p.min_size, p.max_size, p.capacity,
+                               std::max<std::size_t>(updates, 1'000));
+  Sequence s = make_scenario(o.workload, p);
   for (Update& u : s.updates) u.id = u.id * clients + client;
   return s;
 }
@@ -667,34 +609,15 @@ VerifyResult verify_pair(const Options& o, const std::string& allocator,
   // classes resolve, independent of the latency sweep's geometry.
   const Tick shard_capacity = o.arena ? Tick{1} << o.capacity_log2
                                       : Tick{1} << 40;
-  const AllocatorInfo info = allocator_info(allocator);
-  const Tick min_size = info.sizes.min_size(o.eps, shard_capacity);
-  const Tick max_size = info.sizes.max_size(o.eps, shard_capacity) - 1;
-  const Tick capacity = shard_capacity * o.shards;
-  const double load =
-      bounded_load(0.7, min_size, max_size, capacity, 1'000);
-  Sequence seq;
-  if (info.sizes.fixed_palette) {
-    DiscreteChurnConfig c;
-    c.capacity = capacity;
-    c.eps = o.eps;
-    c.min_size = min_size;
-    c.max_size = max_size;
-    c.target_load = load;
-    c.churn_updates = updates;
-    c.seed = o.seed;
-    seq = make_discrete_churn(c);
-  } else {
-    ChurnConfig c;
-    c.capacity = capacity;
-    c.eps = o.eps;
-    c.min_size = min_size;
-    c.max_size = max_size;
-    c.target_load = load;
-    c.churn_updates = updates;
-    c.seed = o.seed;
-    seq = make_churn(c);
-  }
+  // Every registry allocator runs here, tiny-band ones included: the
+  // bounded load keeps their fill short, so the zoo's fill-length refusal
+  // (sized for the default load) does not apply.
+  ScenarioParams p = scenario_params_for(allocator_info(allocator), o.eps,
+                                         shard_capacity, updates, o.seed);
+  p.capacity = shard_capacity * o.shards;
+  p.target_load =
+      bounded_load(0.7, p.min_size, p.max_size, p.capacity, 1'000);
+  const Sequence seq = make_scenario("churn", p);
 
   const ShardedConfig config = base_config(o, allocator, engine,
                                            shard_capacity);

@@ -17,9 +17,6 @@
 #include "util/check.h"
 #include "util/json.h"
 #include "util/table.h"
-#include "workload/churn.h"
-#include "workload/multi_tenant.h"
-#include "workload/vm_heap.h"
 
 namespace {
 
@@ -49,18 +46,21 @@ constexpr const char* kUsage = R"(memreal_shard [options]
   --threads N        worker threads (default 0 = all cores)
   --eps X            free-space parameter (default 0.015625)
   --router P         hash | size-class | round-robin (default hash)
-  --workload W       churn | multi-tenant | skewed | vm_heap (default
-                     churn), or any scenario-zoo name (memreal_adv
-                     --list-scenarios); a zoo workload the allocator
-                     cannot serve errors up front with the compatible
-                     list.  vm_heap is the byte-addressed GC-heap
-                     stream (grow-realloc chains, generational death,
-                     compaction bursts); pair it with --arena to
+  --workload W       scenario-zoo workload (default churn): churn,
+                     sawtooth, fragmenter, multi_tenant_zipf,
+                     db_page_churn, defrag_burst or vm_heap (memreal_adv
+                     --list-scenarios describes them); a workload the
+                     allocator cannot serve errors up front with the
+                     compatible list.  vm_heap is the byte-addressed
+                     GC-heap stream (grow-realloc chains, generational
+                     death, compaction bursts); pair it with --arena to
                      exercise real payload movement
   --updates N        churn updates in the workload (default 20000)
-  --tenants N        tenants for multi-tenant/skewed; palette size for
-                     vm_heap on fixed-palette allocators (default 8)
-  --zipf S           tenant skew exponent (default 1 / 2 for skewed)
+  --tenants N        tenants for multi_tenant_zipf; the palette size of
+                     every workload on fixed-palette allocators (default
+                     8)
+  --zipf S           multi_tenant_zipf tenant skew exponent, >= 0
+                     (default 1)
   --batch N          updates per parallel round (default 4096)
   --rebalance X      live-mass imbalance threshold, >= 1 enables the
                      between-batch rebalancer (default 0 = off)
@@ -96,7 +96,7 @@ struct Options {
   std::string workload = "churn";
   std::size_t updates = 20'000;
   std::size_t tenants = 8;
-  double zipf = -1.0;  ///< -1 = workload default
+  double zipf = 1.0;
   std::size_t batch = 4'096;
   double rebalance = 0.0;
   std::uint64_t seed = 1;
@@ -181,130 +181,8 @@ Options parse_args(int argc, char** argv) {
     usage_error("--shards x 2^capacity-log2 overflows the tick space");
   }
   if (o.eps <= 0.0 || o.eps >= 1.0) usage_error("--eps must be in (0, 1)");
-  if (o.workload != "churn" && o.workload != "multi-tenant" &&
-      o.workload != "skewed" && o.workload != "vm_heap" &&
-      find_scenario(o.workload) == nullptr) {
-    std::string zoo;
-    for (const std::string& s : scenario_names()) zoo += ", " + s;
-    usage_error("unknown workload '" + o.workload +
-                "' (known: churn, multi-tenant, skewed, vm_heap" + zoo +
-                ")");
-  }
+  if (o.zipf < 0.0) usage_error("--zipf must be >= 0");
   return o;
-}
-
-/// Builds the workload: item sizes come from the allocator's registered
-/// size band over the *shard* capacity; the live-mass budget spans all
-/// shards (global capacity = shards * shard_capacity).
-Sequence make_workload(const Options& o, Tick shard_capacity) {
-  const AllocatorInfo info = allocator_info(o.allocator);
-  const Tick global_capacity = shard_capacity * o.shards;
-  const Tick min_size = info.sizes.min_size(o.eps, shard_capacity);
-  const Tick max_size = info.sizes.max_size(o.eps, shard_capacity) - 1;
-  const bool legacy = o.workload == "churn" || o.workload == "multi-tenant" ||
-                      o.workload == "skewed" || o.workload == "vm_heap";
-  if (!legacy) {
-    // Scenario-zoo workload: band over the shard capacity (like the
-    // legacy paths), live-mass budget over the global capacity.
-    const std::string why =
-        scenario_incompatibility(o.workload, info, o.eps, shard_capacity);
-    if (!why.empty()) {
-      std::string compat;
-      for (const std::string& s :
-           compatible_scenarios(info, o.eps, shard_capacity)) {
-        if (!compat.empty()) compat += ", ";
-        compat += s;
-      }
-      usage_error(why + " (compatible scenarios for " + o.allocator + ": " +
-                  (compat.empty() ? "none at this eps" : compat) + ")");
-    }
-    ScenarioParams p =
-        scenario_params_for(info, o.eps, shard_capacity, o.updates, o.seed);
-    p.capacity = global_capacity;
-    p.tenants = o.tenants;
-    if (o.zipf >= 0.0) p.zipf_s = o.zipf;
-    p.bytes_per_tick = o.bytes_per_tick;
-    return make_scenario(o.workload, p);
-  }
-  // The legacy generators draw from the allocator's own band, so only the
-  // eps ceiling and the capacity floor can refuse them.
-  std::string why;
-  if (!info.serves(info.sizes.shape(o.eps, shard_capacity), o.eps,
-                   shard_capacity, &why)) {
-    usage_error(why);
-  }
-  if (o.workload == "vm_heap") {
-    // Byte band derived from the allocator's tick band: the smallest
-    // byte size that still rounds up to min_size ticks, up to the
-    // largest that fits in max_size ticks.
-    const Tick bpt = o.bytes_per_tick;
-    VmHeapConfig c;
-    c.capacity = global_capacity;
-    c.eps = o.eps;
-    c.bytes_per_tick = bpt;
-    c.min_bytes = (min_size - 1) * bpt + 1;
-    c.max_bytes = max_size * bpt;
-    c.distinct_sizes = info.sizes.fixed_palette ? o.tenants : 0;
-    // The generator's default fill (0.85) is admissible for one cell but
-    // leaves no routing headroom across shards: a GC burst's refill wave
-    // can find every shard near its own budget.  Match the headroom the
-    // other workloads run with.
-    c.target_load = 0.7;
-    c.churn_updates = o.updates;
-    c.seed = o.seed;
-    return make_vm_heap(c);
-  }
-  if (o.workload == "churn") {
-    if (info.sizes.fixed_palette) {
-      DiscreteChurnConfig c;
-      c.capacity = global_capacity;
-      c.eps = o.eps;
-      c.min_size = min_size;
-      c.max_size = max_size;
-      c.target_load = 0.8;
-      c.churn_updates = o.updates;
-      c.seed = o.seed;
-      return make_discrete_churn(c);
-    }
-    ChurnConfig c;
-    c.capacity = global_capacity;
-    c.eps = o.eps;
-    c.min_size = min_size;
-    c.max_size = max_size;
-    c.target_load = 0.8;
-    c.churn_updates = o.updates;
-    c.seed = o.seed;
-    return make_churn(c);
-  }
-  const double zipf =
-      o.zipf >= 0.0 ? o.zipf : (o.workload == "skewed" ? 2.0 : 1.0);
-  if (info.sizes.fixed_palette) {
-    // Fixed-palette allocators (DISCRETE) must see a small reused size
-    // set, not free samples; model the tenant skew as Zipf weights over
-    // a palette of `tenants` distinct sizes.
-    DiscreteChurnConfig c;
-    c.capacity = global_capacity;
-    c.eps = o.eps;
-    c.distinct_sizes = o.tenants;
-    c.min_size = min_size;
-    c.max_size = max_size;
-    c.zipf_s = zipf;
-    c.target_load = 0.8;
-    c.churn_updates = o.updates;
-    c.seed = o.seed;
-    return make_discrete_churn(c);
-  }
-  MultiTenantConfig c;
-  c.capacity = global_capacity;
-  c.eps = o.eps;
-  c.tenants = o.tenants;
-  c.zipf_s = zipf;
-  c.min_size = min_size;
-  c.max_size = max_size;
-  c.target_load = 0.8;
-  c.churn_updates = o.updates;
-  c.seed = o.seed;
-  return make_multi_tenant(c);
 }
 
 Json results_json(const Options& o, const ShardedEngine& engine,
@@ -404,7 +282,10 @@ int run(const Options& o) {
     config.workload_label = o.workload;
   }
 
-  const Sequence seq = make_workload(o, shard_capacity);
+  const Sequence seq = make_scenario(
+      o.workload, workload_params(o.workload, o.allocator, o.eps,
+                                  shard_capacity, o.shards, o.updates, o.seed,
+                                  o.tenants, o.zipf, o.bytes_per_tick));
   ShardedEngine engine(config);
   const ShardedRunStats stats = engine.run(seq);
   engine.audit();

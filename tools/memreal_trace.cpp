@@ -15,14 +15,12 @@
 #include "cli.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "perfadv/zoo.h"
 #include "serve/serving_engine.h"
 #include "shard/sharded_engine.h"
 #include "util/check.h"
 #include "util/json.h"
 #include "util/table.h"
-#include "workload/churn.h"
-#include "workload/multi_tenant.h"
-#include "workload/vm_heap.h"
 
 namespace {
 
@@ -34,11 +32,14 @@ constexpr const char* kUsage = R"(memreal_trace [options]
   --engine E         cell engine: validated (default), release or arena
   --arena            byte-backed cells (real payload movement; lowers the
                      default per-shard capacity to 2^22 ticks)
-  --workload W       churn | multi-tenant | skewed | vm_heap (default
-                     churn); sizes come from the allocator's registered
-                     band, like memreal_shard
+  --workload W       scenario-zoo workload (default churn; memreal_adv
+                     --list-scenarios); sizes come from the allocator's
+                     registered band, and a workload the allocator cannot
+                     serve errors up front, like memreal_shard
   --updates N        workload churn updates (default 20000)
-  --tenants N        tenants / palette size (default 8)
+  --tenants N        tenants for multi_tenant_zipf; the palette size of
+                     every workload on fixed-palette allocators (default
+                     8)
   --shards N         cell count (default 4)
   --serve            drive the updates through the online ServingEngine
                      (serve_deterministic) instead of the batch path, so
@@ -146,82 +147,7 @@ Options parse_args(int argc, char** argv) {
     usage_error("--shards x 2^capacity-log2 overflows the tick space");
   }
   if (o.eps <= 0.0 || o.eps >= 1.0) usage_error("--eps must be in (0, 1)");
-  if (o.workload != "churn" && o.workload != "multi-tenant" &&
-      o.workload != "skewed" && o.workload != "vm_heap") {
-    usage_error("unknown workload '" + o.workload +
-                "' (known: churn, multi-tenant, skewed, vm_heap)");
-  }
   return o;
-}
-
-/// Workload construction mirrors memreal_shard: item sizes come from the
-/// allocator's registered band over the shard capacity.
-Sequence make_workload(const Options& o, Tick shard_capacity) {
-  const AllocatorInfo info = allocator_info(o.allocator);
-  const Tick global_capacity = shard_capacity * o.shards;
-  const Tick min_size = info.sizes.min_size(o.eps, shard_capacity);
-  const Tick max_size = info.sizes.max_size(o.eps, shard_capacity) - 1;
-  if (o.workload == "vm_heap") {
-    const Tick bpt = 8;
-    VmHeapConfig c;
-    c.capacity = global_capacity;
-    c.eps = o.eps;
-    c.bytes_per_tick = bpt;
-    c.min_bytes = (min_size - 1) * bpt + 1;
-    c.max_bytes = max_size * bpt;
-    c.distinct_sizes = info.sizes.fixed_palette ? o.tenants : 0;
-    c.target_load = 0.7;
-    c.churn_updates = o.updates;
-    c.seed = o.seed;
-    return make_vm_heap(c);
-  }
-  if (o.workload == "churn") {
-    if (info.sizes.fixed_palette) {
-      DiscreteChurnConfig c;
-      c.capacity = global_capacity;
-      c.eps = o.eps;
-      c.min_size = min_size;
-      c.max_size = max_size;
-      c.target_load = 0.8;
-      c.churn_updates = o.updates;
-      c.seed = o.seed;
-      return make_discrete_churn(c);
-    }
-    ChurnConfig c;
-    c.capacity = global_capacity;
-    c.eps = o.eps;
-    c.min_size = min_size;
-    c.max_size = max_size;
-    c.target_load = 0.8;
-    c.churn_updates = o.updates;
-    c.seed = o.seed;
-    return make_churn(c);
-  }
-  const double zipf = o.workload == "skewed" ? 2.0 : 1.0;
-  if (info.sizes.fixed_palette) {
-    DiscreteChurnConfig c;
-    c.capacity = global_capacity;
-    c.eps = o.eps;
-    c.distinct_sizes = o.tenants;
-    c.min_size = min_size;
-    c.max_size = max_size;
-    c.zipf_s = zipf;
-    c.target_load = 0.8;
-    c.churn_updates = o.updates;
-    c.seed = o.seed;
-    return make_discrete_churn(c);
-  }
-  MultiTenantConfig c;
-  c.capacity = global_capacity;
-  c.eps = o.eps;
-  c.tenants = o.tenants;
-  c.zipf_s = zipf;
-  c.min_size = min_size;
-  c.max_size = max_size;
-  c.target_load = 0.8;
-  c.churn_updates = o.updates;
-  c.seed = o.seed;
-  return make_multi_tenant(c);
 }
 
 int run(const Options& o) {
@@ -240,7 +166,10 @@ int run(const Options& o) {
   config.workload_label = o.workload;
   obs::MetricRegistry::global().reset();
 
-  const Sequence seq = make_workload(o, shard_capacity);
+  const Sequence seq = make_scenario(
+      o.workload,
+      workload_params(o.workload, o.allocator, o.eps, shard_capacity,
+                      o.shards, o.updates, o.seed, o.tenants));
 
   obs::TraceSession& trace = obs::TraceSession::global();
   trace.start(o.clock == "logical" ? obs::TraceSession::Clock::kLogical

@@ -1,6 +1,7 @@
 #include "alloc/folklore.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "util/check.h"
 
@@ -8,17 +9,13 @@ namespace memreal {
 
 namespace {
 
-/// Binary-searches `order` (sorted by offset in `mem`) for the index of id.
-std::size_t index_of(const LayoutStore& mem, const std::vector<ItemId>& order,
-                     ItemId id) {
-  const Tick off = mem.offset_of(id);
-  auto it = std::lower_bound(order.begin(), order.end(), off,
-                             [&](ItemId a, Tick o) {
-                               return mem.offset_of(a) < o;
-                             });
-  while (it != order.end() && mem.offset_of(*it) == off && *it != id) ++it;
-  MEMREAL_CHECK_MSG(it != order.end() && *it == id, "item not in order");
-  return static_cast<std::size_t>(it - order.begin());
+/// First fit: the start of the leftmost gap of at least `size` ticks, else
+/// the span end (the append point).
+Tick first_fit(const LayoutStore& mem, Tick size) {
+  for (const auto& [start, length] : mem.gaps()) {
+    if (length >= size) return start;
+  }
+  return mem.span_end();
 }
 
 }  // namespace
@@ -29,58 +26,31 @@ std::size_t index_of(const LayoutStore& mem, const std::vector<ItemId>& order,
 
 FolkloreCompact::FolkloreCompact(LayoutStore& mem) : mem_(&mem) {}
 
-Tick FolkloreCompact::waste() const {
-  if (order_.empty()) return 0;
-  return mem_->end_of(order_.back()) - mem_->live_mass();
-}
-
 void FolkloreCompact::insert(ItemId id, Tick size) {
-  // First fit: scan gaps left to right.
-  Tick prev_end = 0;
-  for (std::size_t i = 0; i < order_.size(); ++i) {
-    const Tick off = mem_->offset_of(order_[i]);
-    if (off - prev_end >= size) {
-      mem_->place(id, prev_end, size);
-      order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(i), id);
-      return;
-    }
-    prev_end = off + mem_->extent_of(order_[i]);
-  }
-  // Append.  waste <= eps/2 guarantees prev_end <= L + eps/2, so the new
-  // end prev_end + size stays within [0, (L + size) + eps].
-  mem_->place(id, prev_end, size);
-  order_.push_back(id);
+  // An append lands at the span end: waste <= eps/2 guarantees it is
+  // <= L + eps/2, so the new end stays within [0, (L + size) + eps].
+  mem_->place(id, first_fit(*mem_, size), size);
 }
 
 void FolkloreCompact::erase(ItemId id) {
-  const std::size_t idx = index_of(*mem_, order_, id);
-  const Tick size = mem_->size_of(id);
   mem_->remove(id);
-  order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(idx));
-  if (waste() > mem_->eps_ticks() / 2) {
+  // Waste (span beyond the live mass) above eps/2 triggers a compaction.
+  if (mem_->span_end() - mem_->live_mass() > mem_->eps_ticks() / 2) {
     compact();
   }
-  (void)size;
 }
 
 void FolkloreCompact::compact() {
   ++compactions_;
   Tick off = 0;
-  for (ItemId id : order_) {
-    mem_->move_to(id, off);
-    off += mem_->extent_of(id);
+  for (const PlacedItem& item : mem_->snapshot()) {
+    mem_->move_to(item.id, off);
+    off += item.extent;
   }
 }
 
 void FolkloreCompact::check_invariants() const {
-  MEMREAL_CHECK(order_.size() == mem_->item_count());
-  Tick prev_end = 0;
-  for (ItemId id : order_) {
-    MEMREAL_CHECK_MSG(mem_->offset_of(id) >= prev_end,
-                      "order not sorted by offset");
-    prev_end = mem_->end_of(id);
-  }
-  MEMREAL_CHECK_MSG(waste() <= mem_->eps_ticks(),
+  MEMREAL_CHECK_MSG(mem_->span_end() - mem_->live_mass() <= mem_->eps_ticks(),
                     "folklore-compact waste above eps");
 }
 
@@ -93,47 +63,32 @@ FolkloreWindowed::FolkloreWindowed(LayoutStore& mem) : mem_(&mem) {
 }
 
 void FolkloreWindowed::insert(ItemId id, Tick size) {
-  // Cheap path: first fit into an existing gap (including the tail).
-  Tick prev_end = 0;
-  for (std::size_t i = 0; i < order_.size(); ++i) {
-    const Tick off = mem_->offset_of(order_[i]);
-    if (off - prev_end >= size) {
-      mem_->place(id, prev_end, size);
-      order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(i), id);
-      return;
-    }
-    prev_end = off + mem_->extent_of(order_[i]);
+  // Cheap path: first fit into an existing gap or the tail.  An interior
+  // gap always fits inside capacity; only the tail can fall short.
+  Tick off = first_fit(*mem_, size);
+  if (mem_->capacity() - off < size) {
+    // Pigeonhole path.
+    ++windowed_inserts_;
+    off = windowed_place(size);
   }
-  if (mem_->capacity() - prev_end >= size) {
-    mem_->place(id, prev_end, size);
-    order_.push_back(id);
-    return;
-  }
-  // Pigeonhole path.
-  ++windowed_inserts_;
-  const Tick off = windowed_place(size);
   mem_->place(id, off, size);
-  const std::size_t idx = static_cast<std::size_t>(
-      std::lower_bound(order_.begin(), order_.end(), off,
-                       [&](ItemId a, Tick o) {
-                         return mem_->offset_of(a) < o;
-                       }) -
-      order_.begin());
-  order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(idx), id);
 }
 
 Tick FolkloreWindowed::windowed_place(Tick size) {
   const Tick cap = mem_->capacity();
   const Tick eps_t = mem_->eps_ticks();
+  // Every pass reads offsets from this snapshot: each item is read before
+  // it moves, and moves touch only the item moved.
+  const std::vector<PlacedItem> items = mem_->snapshot();
   // Window size W = ceil(3 * size / eps); if W >= capacity, compact all.
   __uint128_t w128 = (static_cast<__uint128_t>(size) * 3 * cap + eps_t - 1) /
                      eps_t;
   if (w128 >= cap) {
     // Full compaction; place at the end.
     Tick off = 0;
-    for (ItemId it : order_) {
-      mem_->move_to(it, off);
-      off += mem_->extent_of(it);
+    for (const PlacedItem& it : items) {
+      mem_->move_to(it.id, off);
+      off += it.extent;
     }
     MEMREAL_CHECK_MSG(cap - off >= size, "promise violated: no room");
     return off;
@@ -143,9 +98,9 @@ Tick FolkloreWindowed::windowed_place(Tick size) {
 
   // One pass: free ticks per window (an item contributes its overlap).
   std::vector<Tick> used(windows, 0);
-  for (ItemId it : order_) {
-    Tick lo = mem_->offset_of(it);
-    const Tick hi = mem_->end_of(it);
+  for (const PlacedItem& it : items) {
+    Tick lo = it.offset;
+    const Tick hi = it.offset + it.extent;
     while (lo < hi) {
       const std::size_t win = static_cast<std::size_t>(lo / w);
       const Tick win_end = std::min<Tick>((win + 1) * w, cap);
@@ -171,17 +126,14 @@ Tick FolkloreWindowed::windowed_place(Tick size) {
   const Tick win_lo = win * w;
   const Tick win_hi = std::min<Tick>((win + 1) * w, cap);
   Tick anchor = win_lo;
-  for (ItemId it : order_) {
-    const Tick lo = mem_->offset_of(it);
-    const Tick hi = mem_->end_of(it);
-    if (lo < win_lo && hi > win_lo) anchor = std::max(anchor, hi);
+  for (const PlacedItem& it : items) {
+    const Tick hi = it.offset + it.extent;
+    if (it.offset < win_lo && hi > win_lo) anchor = std::max(anchor, hi);
   }
-  for (ItemId it : order_) {
-    const Tick lo = mem_->offset_of(it);
-    const Tick hi = mem_->end_of(it);
-    if (lo >= win_lo && hi <= win_hi) {
-      mem_->move_to(it, anchor);
-      anchor += mem_->extent_of(it);
+  for (const PlacedItem& it : items) {
+    if (it.offset >= win_lo && it.offset + it.extent <= win_hi) {
+      mem_->move_to(it.id, anchor);
+      anchor += it.extent;
     }
   }
   // The opened gap runs from `anchor` to the right straddler (or window
@@ -189,19 +141,6 @@ Tick FolkloreWindowed::windowed_place(Tick size) {
   return anchor;
 }
 
-void FolkloreWindowed::erase(ItemId id) {
-  const std::size_t idx = index_of(*mem_, order_, id);
-  mem_->remove(id);
-  order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(idx));
-}
-
-void FolkloreWindowed::check_invariants() const {
-  MEMREAL_CHECK(order_.size() == mem_->item_count());
-  Tick prev_end = 0;
-  for (ItemId id : order_) {
-    MEMREAL_CHECK(mem_->offset_of(id) >= prev_end);
-    prev_end = mem_->end_of(id);
-  }
-}
+void FolkloreWindowed::erase(ItemId id) { mem_->remove(id); }
 
 }  // namespace memreal

@@ -16,9 +16,12 @@
 //  * FolkloreCompact — a resizable variant: first-fit insert, free deletes,
 //    and a full compaction whenever accumulated gap mass exceeds eps/2.
 //    Amortized O(eps^-1), and keeps everything inside [0, L + eps].
+//
+// Neither keeps a private copy of the layout: first fit scans the store's
+// gaps(), and compactions walk its snapshot() in (offset, id) order.
 #pragma once
 
-#include <vector>
+#include <cstddef>
 
 #include "core/allocator.h"
 #include "core/layout_store.h"
@@ -41,10 +44,8 @@ class FolkloreCompact final : public Allocator {
 
  private:
   void compact();
-  [[nodiscard]] Tick waste() const;
 
   LayoutStore* mem_;
-  std::vector<ItemId> order_;  ///< sorted by offset
   std::size_t compactions_ = 0;
 };
 
@@ -58,7 +59,6 @@ class FolkloreWindowed final : public Allocator {
     return "folklore-windowed";
   }
   [[nodiscard]] bool resizable() const override { return false; }
-  void check_invariants() const override;
 
   /// Number of windowed (pigeonhole) inserts, vs. cheap first-fit inserts.
   [[nodiscard]] std::size_t windowed_inserts() const {
@@ -70,7 +70,6 @@ class FolkloreWindowed final : public Allocator {
   Tick windowed_place(Tick size);
 
   LayoutStore* mem_;
-  std::vector<ItemId> order_;  ///< sorted by offset
   std::size_t windowed_inserts_ = 0;
 };
 

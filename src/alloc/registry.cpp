@@ -137,15 +137,18 @@ const std::vector<Entry>& builtin_entries() {
                    c.seed = p.seed;
                    return std::make_unique<GeoAllocator>(mem, c);
                  }});
-    e.push_back({{"tinyslab", tiny, {32.0, 0.5}, 1.0 / 32, 0.0, false, true},
+    e.push_back({{"tinyslab", tiny, {32.0, 0.5}, 1.0 / 32, 0.0, false, true,
+                  /*max_eps=*/0.25, &TinySlabAllocator::min_capacity},
                  [](LayoutStore& mem, const AllocatorParams& p) {
                    TinySlabConfig c;
                    c.eps = p.eps;
                    c.seed = p.seed;
                    return std::make_unique<TinySlabAllocator>(mem, c);
                  }});
+    // FLEXHASH builds a default-sized TINYSLAB over the whole memory, so
+    // it inherits TINYSLAB's capacity floor.
     e.push_back({{"flexhash", tiny, {32.0, 0.5}, 1.0 / 32, 0.0, false, true,
-                  /*max_eps=*/1.0 / 16},
+                  /*max_eps=*/1.0 / 16, &TinySlabAllocator::min_capacity},
                  [](LayoutStore& mem, const AllocatorParams& p) {
                    FlexHashConfig c;
                    c.eps = p.eps;

@@ -103,7 +103,9 @@ struct AllocatorInfo {
   double max_eps = 0.25;
   /// Smallest capacity (in ticks) the allocator can be built over at a
   /// given eps; null = no floor.  GEO's geometric size classes collapse
-  /// when eps^5 * capacity is too few ticks, and its constructor refuses.
+  /// when eps^5 * capacity is too few ticks, TINYSLAB's smallest class
+  /// when eps^4 * capacity / 4096 is under one tick; both constructors
+  /// refuse.
   Tick (*min_capacity)(double eps) = nullptr;
 
   /// True when this allocator guarantees to serve every sequence of

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "util/check.h"
@@ -35,6 +36,15 @@ class IdentityUnitSpace final : public UnitSpace {
   return f == x ? x : f << 1;
 }
 
+/// Default size-class span: the smallest class is max_size / 4096.
+constexpr Tick kClassSpan = 4096;
+
+/// Default largest item size: the Section 4.2 tiny/large threshold.
+[[nodiscard]] Tick default_max_size(double eps, Tick capacity) {
+  return static_cast<Tick>(std::pow(eps, 4.0) *
+                           static_cast<double>(capacity));
+}
+
 }  // namespace
 
 TinySlabAllocator::TinySlabAllocator(LayoutStore& mem,
@@ -45,10 +55,9 @@ TinySlabAllocator::TinySlabAllocator(LayoutStore& mem,
   MEMREAL_CHECK(eps > 0 && eps < 0.5);
   const auto cap_d = static_cast<double>(mem_->capacity());
 
-  max_size_ = config.max_size
-                  ? config.max_size
-                  : static_cast<Tick>(std::pow(eps, 4.0) * cap_d);
-  min_size_ = config.min_size ? config.min_size : max_size_ / 4096;
+  max_size_ = config.max_size ? config.max_size
+                              : default_max_size(eps, mem_->capacity());
+  min_size_ = config.min_size ? config.min_size : max_size_ / kClassSpan;
   MEMREAL_CHECK_MSG(min_size_ >= 1, "capacity too small for tiny items");
   MEMREAL_CHECK(min_size_ <= max_size_);
   slack_budget_ = config.slack_budget
@@ -96,6 +105,23 @@ TinySlabAllocator::TinySlabAllocator(LayoutStore& mem,
     space_ = owned_space_.get();
   }
   compact_threshold_ = rng_.next_tick_in(slack_budget_ / 2, slack_budget_);
+}
+
+Tick TinySlabAllocator::min_capacity(double eps) {
+  MEMREAL_CHECK(eps > 0 && eps < 0.5);
+  // Smallest capacity whose default max size reaches kClassSpan ticks,
+  // evaluated in the constructor's arithmetic (the predicate is monotone,
+  // so stepping from a guess finds the edge).
+  const double guess =
+      std::ceil(static_cast<double>(kClassSpan) / std::pow(eps, 4.0));
+  if (guess >= 0x1p63) return std::numeric_limits<Tick>::max();
+  auto reaches = [&](Tick cap) {
+    return default_max_size(eps, cap) >= kClassSpan;
+  };
+  auto cap = static_cast<Tick>(guess);
+  while (cap > 1 && reaches(cap - 1)) --cap;
+  while (!reaches(cap)) ++cap;
+  return cap;
 }
 
 std::size_t TinySlabAllocator::level_of_sigma(Tick sigma) const {

@@ -71,6 +71,12 @@ class TinySlabAllocator final : public Allocator {
   TinySlabAllocator(LayoutStore& mem, const TinySlabConfig& config,
                     UnitSpace* space = nullptr);
 
+  /// Smallest memory capacity (in ticks) a default-configured TINYSLAB can
+  /// be built over at `eps`: below it the smallest size class,
+  /// eps^4 * capacity / 4096, falls under one tick and the constructor
+  /// refuses.  Saturates at the largest Tick when no capacity suffices.
+  [[nodiscard]] static Tick min_capacity(double eps);
+
   void insert(ItemId id, Tick size) override;
   void erase(ItemId id) override;
   [[nodiscard]] std::string_view name() const override { return "tinyslab"; }

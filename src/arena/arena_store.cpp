@@ -5,24 +5,9 @@
 
 #include "obs/trace.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace memreal {
-
-namespace {
-
-/// SplitMix64 finalizer — the per-item pattern seed.  Full avalanche so
-/// adjacent ids get unrelated fill bytes (a memmove that lands one granule
-/// off cannot accidentally reproduce its neighbor's pattern).
-std::uint64_t mix(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
-
-}  // namespace
 
 ArenaStore::ArenaStore(LayoutStore& inner, ByteSpace space,
                        ArenaOptions options)
@@ -30,8 +15,10 @@ ArenaStore::ArenaStore(LayoutStore& inner, ByteSpace space,
 
 unsigned char ArenaStore::pattern_byte(ItemId id, std::uint64_t j) {
   // The pattern is position-independent within the payload (indexed by j,
-  // not by arena address), so a clean memmove preserves it exactly.
-  return static_cast<unsigned char>(mix(id) >> ((j & 7) * 8));
+  // not by arena address), so a clean memmove preserves it exactly.  The
+  // full-avalanche seed gives adjacent ids unrelated fill bytes (a memmove
+  // that lands one granule off cannot reproduce its neighbor's pattern).
+  return static_cast<unsigned char>(mix64(id) >> ((j & 7) * 8));
 }
 
 void ArenaStore::stage_insert(ItemId id, Tick size_bytes) {
@@ -101,11 +88,11 @@ void ArenaStore::verify_at(ItemId id, std::uint64_t byte_addr,
   options_.metrics.on_verify(bytes);
   const unsigned char* p = arena_.data() + byte_addr;
   std::uint64_t j = 0;
-  // The pattern repeats the little-endian bytes of mix(id), so aligned
+  // The pattern repeats the little-endian bytes of mix64(id), so aligned
   // 8-byte groups compare as one word; a mismatching word falls through
   // to the byte loop, which names the exact corrupt byte.
   if constexpr (std::endian::native == std::endian::little) {
-    const std::uint64_t w = mix(id);
+    const std::uint64_t w = mix64(id);
     for (; j + 8 <= bytes; j += 8) {
       std::uint64_t got;
       std::memcpy(&got, p + j, 8);
@@ -173,7 +160,7 @@ void ArenaStore::place(ItemId id, Tick offset, Tick size, Tick extent) {
   buf.resize(static_cast<std::size_t>(bytes));
   std::uint64_t j = 0;
   if constexpr (std::endian::native == std::endian::little) {
-    const std::uint64_t w = mix(id);
+    const std::uint64_t w = mix64(id);
     for (; j + 8 <= bytes; j += 8) std::memcpy(buf.data() + j, &w, 8);
   }
   for (; j < bytes; ++j) buf[j] = pattern_byte(id, j);

@@ -6,12 +6,6 @@
 
 namespace memreal {
 
-namespace {
-
-constexpr std::size_t kInitialBuckets = 64;
-
-}  // namespace
-
 SlabStore::SlabStore(Tick capacity, Tick eps_ticks, ValidationPolicy policy)
     : capacity_(capacity), eps_ticks_(eps_ticks), policy_(policy) {
   MEMREAL_CHECK(capacity > 0);
@@ -19,74 +13,6 @@ SlabStore::SlabStore(Tick capacity, Tick eps_ticks, ValidationPolicy policy)
                     "eps truncated to zero ticks — the load-factor and "
                     "resizable-bound checks would be vacuous (see Eps::of)");
   MEMREAL_CHECK_MSG(eps_ticks < capacity, "eps must be < 1");
-  map_keys_.assign(kInitialBuckets, kNoItem);
-  map_slots_.assign(kInitialBuckets, kNoSlot);
-}
-
-// -- Open-addressed id map --------------------------------------------------
-
-void SlabStore::map_insert(ItemId id, std::uint32_t slot) {
-  // Grow at 5/8 load so probe chains stay short.
-  if ((recs_.size() + 1) * 8 >= map_keys_.size() * 5) map_grow();
-  const std::size_t mask = map_keys_.size() - 1;
-  std::size_t b = static_cast<std::size_t>(mix(id)) & mask;
-  while (map_keys_[b] != kNoItem) b = (b + 1) & mask;
-  map_keys_[b] = id;
-  map_slots_[b] = slot;
-}
-
-void SlabStore::map_set(ItemId id, std::uint32_t slot) {
-  const std::size_t mask = map_keys_.size() - 1;
-  std::size_t b = static_cast<std::size_t>(mix(id)) & mask;
-  while (map_keys_[b] != id) {
-    MEMREAL_CHECK_MSG(map_keys_[b] != kNoItem, "unknown item id " << id);
-    b = (b + 1) & mask;
-  }
-  map_slots_[b] = slot;
-}
-
-void SlabStore::map_erase(ItemId id) {
-  const std::size_t mask = map_keys_.size() - 1;
-  std::size_t b = static_cast<std::size_t>(mix(id)) & mask;
-  while (map_keys_[b] != id) {
-    MEMREAL_CHECK_MSG(map_keys_[b] != kNoItem, "unknown item id " << id);
-    b = (b + 1) & mask;
-  }
-  // Backward-shift deletion: re-seat every entry of the probe chain that
-  // follows the hole, so lookups never need tombstones.
-  std::size_t hole = b;
-  std::size_t next = (b + 1) & mask;
-  while (map_keys_[next] != kNoItem) {
-    const std::size_t home = static_cast<std::size_t>(mix(map_keys_[next])) &
-                             mask;
-    // Move the entry into the hole iff the hole lies on the (cyclic) probe
-    // path from its home bucket to its current bucket.
-    const bool reachable = hole <= next ? (home <= hole || home > next)
-                                        : (home <= hole && home > next);
-    if (reachable) {
-      map_keys_[hole] = map_keys_[next];
-      map_slots_[hole] = map_slots_[next];
-      hole = next;
-    }
-    next = (next + 1) & mask;
-  }
-  map_keys_[hole] = kNoItem;
-  map_slots_[hole] = kNoSlot;
-}
-
-void SlabStore::map_grow() {
-  std::vector<ItemId> old_keys = std::move(map_keys_);
-  std::vector<std::uint32_t> old_slots = std::move(map_slots_);
-  map_keys_.assign(old_keys.size() * 2, kNoItem);
-  map_slots_.assign(old_slots.size() * 2, kNoSlot);
-  const std::size_t mask = map_keys_.size() - 1;
-  for (std::size_t i = 0; i < old_keys.size(); ++i) {
-    if (old_keys[i] == kNoItem) continue;
-    std::size_t b = static_cast<std::size_t>(mix(old_keys[i])) & mask;
-    while (map_keys_[b] != kNoItem) b = (b + 1) & mask;
-    map_keys_[b] = old_keys[i];
-    map_slots_[b] = old_slots[i];
-  }
 }
 
 // -- Ordered index maintenance ----------------------------------------------
@@ -152,11 +78,14 @@ Tick SlabStore::end_update() {
 
 void SlabStore::place(ItemId id, Tick offset, Tick size, Tick extent) {
   MEMREAL_CHECK_MSG(in_update_, "layout mutation outside an update");
-  MEMREAL_CHECK_MSG(probe(id) == kNoSlot, "item " << id << " already placed");
   MEMREAL_CHECK(size > 0);
   if (extent == 0) extent = size;
   MEMREAL_CHECK(extent >= size);
+  // One probe resolves the id: a duplicate is refused before any state
+  // changes.
   const auto slot = static_cast<std::uint32_t>(recs_.size());
+  MEMREAL_CHECK_MSG(ids_.try_emplace(id, slot).second,
+                    "item " << id << " already placed");
   recs_.push_back(Record{id, offset, size, extent});
   if (by_offset_.empty() || slot_less(by_offset_.back(), slot)) {
     // Rightmost placement (every append-style allocator insert): no shift.
@@ -172,7 +101,6 @@ void SlabStore::place(ItemId id, Tick offset, Tick size, Tick extent) {
     }
   }
   span_add(offset + extent);
-  map_insert(id, slot);
   live_mass_ += size;
   extent_mass_ += extent;
   moved_ += size;
@@ -350,7 +278,7 @@ void SlabStore::remove(ItemId id) {
   for (std::size_t i = pos; i < by_offset_.size(); ++i) {
     index_pos_[by_offset_[i]] = static_cast<std::uint32_t>(i);
   }
-  map_erase(id);
+  ids_.erase(id);
   // Swap-with-last keeps the record arrays dense; the moved record's map
   // and index entries must be re-pointed at its new slot.
   const auto last = static_cast<std::uint32_t>(recs_.size() - 1);
@@ -358,7 +286,7 @@ void SlabStore::remove(ItemId id) {
     recs_[slot] = recs_[last];
     index_pos_[slot] = index_pos_[last];
     by_offset_[index_pos_[slot]] = slot;
-    map_set(recs_[slot].id, slot);
+    *ids_.find(recs_[slot].id) = slot;
   }
   recs_.pop_back();
   index_pos_.pop_back();
@@ -455,6 +383,7 @@ void SlabStore::audit() const {
                     "by-offset index size drift");
   MEMREAL_CHECK_MSG(index_pos_.size() == recs_.size(),
                     "position-cache size drift");
+  MEMREAL_CHECK_MSG(ids_.size() == recs_.size(), "id-map size drift");
 
   Tick live = 0;
   Tick ext = 0;
@@ -479,7 +408,9 @@ void SlabStore::audit() const {
                                        << ") intersects item " << prev_id
                                        << " ending at " << prev_end);
     MEMREAL_CHECK(extent >= size);
-    MEMREAL_CHECK_MSG(probe(id) == slot, "id-map drift for item " << id);
+    const std::uint32_t* mapped = ids_.find(id);
+    MEMREAL_CHECK_MSG(mapped != nullptr && *mapped == slot,
+                      "id-map drift for item " << id);
     prev_end = offset + extent;
     max_end = std::max(max_end, prev_end);
     prev_id = id;

@@ -13,8 +13,7 @@
 //                           swap-with-last removal.  A relocation, an
 //                           order comparison or a query result touches
 //                           one cache line per item, not one per field
-//   map_keys_ / map_slots_  open-addressed id -> slot table (power-of-two,
-//                           linear probing, backward-shift deletion): O(1)
+//   ids_                    id -> slot FlatIdMap (util/flat_map.h): O(1)
 //                           point queries
 //   by_offset_ / index_pos_ slot indices sorted by (offset, id), plus the
 //                           inverse permutation (slot -> position):
@@ -68,6 +67,7 @@
 
 #include "core/layout_store.h"
 #include "util/check.h"
+#include "util/flat_map.h"
 #include "util/types.h"
 
 namespace memreal {
@@ -101,7 +101,7 @@ class SlabStore final : public LayoutStore {
   // -- Point queries ------------------------------------------------------
 
   [[nodiscard]] bool contains(ItemId id) const override {
-    return probe(id) != kNoSlot;
+    return ids_.contains(id);
   }
   [[nodiscard]] Tick offset_of(ItemId id) const override {
     return recs_[slot_of(id)].offset;
@@ -172,8 +172,6 @@ class SlabStore final : public LayoutStore {
   void debug_corrupt_first_offset(Tick delta);
 
  private:
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-
   /// One live item.  32-byte aligned so a record never straddles a cache
   /// line.
   struct alignas(32) Record {
@@ -184,37 +182,8 @@ class SlabStore final : public LayoutStore {
   };
   static_assert(sizeof(Record) == 32);
 
-  /// SplitMix64 finalizer — full-avalanche id hash for the open-addressed
-  /// table (sequential ids would otherwise cluster probes).
-  static std::uint64_t mix(std::uint64_t x) {
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ULL;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBULL;
-    x ^= x >> 31;
-    return x;
-  }
-
-  /// Open-addressed lookup; kNoSlot when absent.
-  [[nodiscard]] std::uint32_t probe(ItemId id) const {
-    const std::size_t mask = map_keys_.size() - 1;
-    std::size_t b = static_cast<std::size_t>(mix(id)) & mask;
-    while (map_keys_[b] != kNoItem) {
-      if (map_keys_[b] == id) return map_slots_[b];
-      b = (b + 1) & mask;
-    }
-    return kNoSlot;
-  }
-  /// Like probe(), but a missing id is a usage error.
-  [[nodiscard]] std::uint32_t slot_of(ItemId id) const {
-    const std::uint32_t s = probe(id);
-    MEMREAL_CHECK_MSG(s != kNoSlot, "unknown item id " << id);
-    return s;
-  }
-  void map_insert(ItemId id, std::uint32_t slot);
-  void map_erase(ItemId id);
-  void map_set(ItemId id, std::uint32_t slot);
-  void map_grow();
+  /// The slot of a live item; a missing id is a usage error.
+  [[nodiscard]] std::uint32_t slot_of(ItemId id) const { return ids_.at(id); }
 
   /// (offset, id) order of two slots — the index sort key.
   [[nodiscard]] bool slot_less(std::uint32_t a, std::uint32_t b) const {
@@ -273,8 +242,7 @@ class SlabStore final : public LayoutStore {
 
   std::vector<Record> recs_;
 
-  std::vector<ItemId> map_keys_;          ///< kNoItem = empty bucket
-  std::vector<std::uint32_t> map_slots_;  ///< parallel to map_keys_
+  FlatIdMap<std::uint32_t> ids_;  ///< id -> slot in recs_
 
   std::vector<std::uint32_t> by_offset_;
   std::vector<std::uint32_t> index_pos_;  ///< slot -> position in by_offset_

@@ -1,11 +1,11 @@
-// Open-addressed id -> value map for allocator bookkeeping hot paths.
+// Open-addressed id -> value map for per-item hot paths.
 //
 // The node-based std::unordered_map costs a pointer chase plus a modulo
-// per operation; on per-move bookkeeping (SimpleAllocator's id -> layout
-// position map) that is the dominant shared cost between the validated
-// and release engines.  This table is the same design as SlabStore's id
-// map: power-of-two buckets, SplitMix64-finalized keys, linear probing,
-// backward-shift deletion (no tombstones).
+// per operation; on per-move bookkeeping that is the dominant cost.  This
+// one table backs every such map (SlabStore's id -> slot, SimpleAllocator's
+// id -> layout position, GEO's id -> slot, the arena's and the sharded
+// router's): power-of-two buckets, SplitMix64-finalized keys (mix64),
+// linear probing, backward-shift deletion (no tombstones).
 //
 // Keys are ItemIds; kNoItem is reserved as the empty-bucket sentinel and
 // must never be inserted.
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "util/check.h"
+#include "util/rng.h"
 #include "util/types.h"
 
 namespace memreal {
@@ -83,7 +84,9 @@ class FlatIdMap {
     std::size_t next = (b + 1) & mask;
     while (keys_[next] != kNoItem) {
       const std::size_t home =
-          static_cast<std::size_t>(mix(keys_[next])) & mask;
+          static_cast<std::size_t>(mix64(keys_[next])) & mask;
+      // Move the entry into the hole iff the hole lies on the (cyclic)
+      // probe path from its home bucket to its current bucket.
       const bool reachable = hole <= next ? (home <= hole || home > next)
                                           : (home <= hole && home > next);
       if (reachable) {
@@ -97,19 +100,10 @@ class FlatIdMap {
   }
 
  private:
-  static std::uint64_t mix(std::uint64_t x) {
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ULL;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBULL;
-    x ^= x >> 31;
-    return x;
-  }
-
   /// Bucket holding `key`, or the empty bucket where it would go.
   [[nodiscard]] std::size_t locate(ItemId key) const {
     const std::size_t mask = keys_.size() - 1;
-    std::size_t b = static_cast<std::size_t>(mix(key)) & mask;
+    std::size_t b = static_cast<std::size_t>(mix64(key)) & mask;
     while (keys_[b] != kNoItem && keys_[b] != key) b = (b + 1) & mask;
     return b;
   }
@@ -122,7 +116,7 @@ class FlatIdMap {
     const std::size_t mask = keys_.size() - 1;
     for (std::size_t i = 0; i < old_keys.size(); ++i) {
       if (old_keys[i] == kNoItem) continue;
-      std::size_t b = static_cast<std::size_t>(mix(old_keys[i])) & mask;
+      std::size_t b = static_cast<std::size_t>(mix64(old_keys[i])) & mask;
       while (keys_[b] != kNoItem) b = (b + 1) & mask;
       keys_[b] = old_keys[i];
       values_[b] = old_values[i];

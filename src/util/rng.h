@@ -15,18 +15,22 @@
 
 namespace memreal {
 
+/// SplitMix64's output finalizer: a full-avalanche 64-bit mix.  Also the
+/// id hash of FlatIdMap and the arena's per-item pattern seed, where
+/// adjacent ids must land on unrelated values.
+inline std::uint64_t mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// SplitMix64: 64-bit state, passes BigCrush when used as a stream.
 /// Primarily used to expand a single seed into xoshiro's 256-bit state.
 class SplitMix64 {
  public:
   explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
 
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
+  std::uint64_t next() { return mix64(state_ += 0x9e3779b97f4a7c15ULL); }
 
  private:
   std::uint64_t state_;

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "alloc/flexhash.h"
+#include "alloc/registry.h"
 #include "mem/memory.h"
 #include "testing.h"
 #include "workload/churn.h"
@@ -33,6 +34,22 @@ TEST(FlexHash, TypeCountLogarithmic) {
   // Types cover (eps^4, 1] geometrically: about 4 log2(1/eps) of them.
   EXPECT_GE(f.type_count(), 14u);
   EXPECT_LE(f.type_count(), 18u);
+}
+
+TEST(FlexHash, MinCapacityIsTinySlabsFloor) {
+  // FLEXHASH builds a default-sized TINYSLAB, so the registry gives it
+  // TINYSLAB's capacity floor.
+  for (const double eps : {1.0 / 16, 1.0 / 32}) {
+    const Tick min_cap = TinySlabAllocator::min_capacity(eps);
+    EXPECT_EQ(allocator_info("flexhash").min_capacity(eps), min_cap);
+    FlexHashConfig c;
+    c.eps = eps;
+    Memory mem(min_cap, Eps::of(eps, min_cap).ticks);
+    EXPECT_NO_THROW(FlexHashAllocator(mem, c)) << "eps " << eps;
+    Memory below(min_cap - 1, Eps::of(eps, min_cap - 1).ticks);
+    EXPECT_THROW(FlexHashAllocator(below, c), InvariantViolation)
+        << "eps " << eps;
+  }
 }
 
 TEST(FlexHash, InternalUpdatesWork) {

@@ -569,8 +569,8 @@ TEST(SlabStore, ContiguousRunCrossingAnOutsideNeighborFallsBack) {
 }
 
 TEST(SlabStore, IdMapSurvivesChurnAcrossGrowthAndDeletion) {
-  // Enough distinct ids to force several open-addressed table growths and
-  // long backward-shift chains; audit() cross-checks every probe.
+  // Enough distinct ids to force several id-map growths and long
+  // backward-shift chains; audit() cross-checks every lookup.
   SlabStore store(Tick{1} << 40, Tick{1} << 20);
   std::vector<ItemId> live;
   for (ItemId id = 0; id < 500; ++id) {
@@ -592,6 +592,35 @@ TEST(SlabStore, IdMapSurvivesChurnAcrossGrowthAndDeletion) {
   }
   store.audit();
   EXPECT_EQ(store.item_count(), 500 - (500 + 2) / 3 + 200);
+}
+
+// Usage errors: the same refusals as Memory's (test_mem.cpp).
+TEST(SlabStore, UnknownItemRejected) {
+  SlabStore store(1 << 20, 1 << 10);
+  store.begin_update(1, true);
+  EXPECT_THROW(store.move_to(42, 0), InvariantViolation);
+  EXPECT_THROW(store.remove(42), InvariantViolation);
+  store.place(1, 0, 1);
+  store.end_update();
+  EXPECT_THROW((void)store.offset_of(42), InvariantViolation);
+  EXPECT_FALSE(store.contains(42));
+  store.audit();
+}
+
+TEST(SlabStore, DuplicatePlaceRejected) {
+  SlabStore store(1 << 20, 1 << 10);
+  store.begin_update(1, true);
+  store.place(1, 0, 1);
+  store.place(2, 5, 3);
+  // The refusal comes before any mutation: the record, the index and the
+  // id map still describe exactly the two placed items.
+  EXPECT_THROW(store.place(1, 10, 1), InvariantViolation);
+  store.end_update();
+  EXPECT_EQ(store.item_count(), 2u);
+  EXPECT_EQ(store.offset_of(1), 0u);
+  EXPECT_EQ(store.live_mass(), 4u);
+  EXPECT_EQ(store.span_end(), 8u);
+  store.audit();
 }
 
 TEST(MakeCell, RejectsUnknownEngineNames) {

@@ -54,6 +54,24 @@ TEST(TinySlab, MaxSizeDefaultsToEps4) {
                               static_cast<double>(kCap)));
 }
 
+TEST(TinySlab, MinCapacityIsTheConstructorsFloor) {
+  for (const double eps : {0.3, 1.0 / 4, 1.0 / 8, 1.0 / 16, 1.0 / 32}) {
+    const Tick min_cap = TinySlabAllocator::min_capacity(eps);
+    TinySlabConfig c;
+    c.eps = eps;
+    for (const Tick cap : {min_cap, min_cap + 1, 2 * min_cap + 3}) {
+      Memory mem(cap, Eps::of(eps, cap).ticks);
+      EXPECT_NO_THROW(TinySlabAllocator(mem, c))
+          << "eps " << eps << " cap " << cap;
+    }
+    Memory below(min_cap - 1, Eps::of(eps, min_cap - 1).ticks);
+    EXPECT_THROW(TinySlabAllocator(below, c), InvariantViolation)
+        << "eps " << eps;
+  }
+  // 4096 / eps^4 ticks: 2^28 at eps 1/16.
+  EXPECT_EQ(TinySlabAllocator::min_capacity(1.0 / 16), Tick{1} << 28);
+}
+
 TEST(TinySlab, ClassExtentsDecreaseGeometrically) {
   Memory mem = testing::strict_memory(kCap, 1.0 / 64);
   TinySlabConfig c;

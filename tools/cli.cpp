@@ -1,5 +1,6 @@
 #include "cli.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <iostream>
 #include <vector>
 
+#include "alloc/registry.h"
 #include "obs/metrics.h"
 
 namespace memreal::cli {
@@ -85,6 +87,12 @@ ScenarioParams workload_params(const std::string& workload,
                                std::size_t updates, std::uint64_t seed,
                                std::size_t tenants, double zipf,
                                Tick bytes_per_tick) {
+  const std::vector<std::string> allocators = allocator_names();
+  if (std::find(allocators.begin(), allocators.end(), allocator) ==
+      allocators.end()) {
+    usage_error("unknown allocator '" + allocator + "' (known: " +
+                join(allocators) + ")");
+  }
   if (find_scenario(workload) == nullptr) {
     usage_error("unknown workload '" + workload + "' (known: " +
                 join(scenario_names()) + ")");

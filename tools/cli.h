@@ -40,9 +40,10 @@ void set_tool(const char* name,
 /// Anything else is a usage error.
 void parse_engine(const char* value, std::string& engine, bool& arena);
 
-/// Resolves a driver's `--workload` through the scenario zoo.  An unknown
-/// name is a usage error listing the zoo; a pair scenario_incompatibility
-/// rejects is a usage error giving its reason and the compatible list.
+/// Resolves a driver's `--allocator` and `--workload`: an unknown
+/// allocator is a usage error listing the registry, an unknown workload
+/// one listing the scenario zoo, and a pair scenario_incompatibility
+/// rejects one giving its reason and the compatible list.
 /// Otherwise returns scenario_params_for: sizes come from the allocator's
 /// band over one shard, the live-mass budget spans every shard (capacity =
 /// shards x shard_capacity).  `tenants` is also the palette size of

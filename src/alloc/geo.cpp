@@ -167,7 +167,9 @@ std::size_t GeoAllocator::class_of_size(Tick size) const {
 
 void GeoAllocator::place_from(std::size_t from) {
   const Tick off = from == 0 ? 0 : mem_->end_of(order_[from - 1]);
-  mem_->apply_run(std::span<const ItemId>(order_).subspan(from), off);
+  mem_->apply_run(std::span<const ItemId>(order_).subspan(from),
+                  std::span<const std::uint32_t>(store_slots_).subspan(from),
+                  off);
 }
 
 void GeoAllocator::apply_layout(std::size_t from) {
@@ -210,6 +212,7 @@ void GeoAllocator::erase_at(std::size_t k) {
   order_.erase(order_.begin() + at);
   labels_.erase(labels_.begin() + at);
   slots_.erase(slots_.begin() + at);
+  store_slots_.erase(store_slots_.begin() + at);
 }
 
 std::size_t GeoAllocator::suffix_start_for_label(int label) const {
@@ -291,18 +294,22 @@ void GeoAllocator::rebuild_level(int j0) {
   // Only items the sort displaces need their pos rewritten.
   sorted_.resize(n);
   sorted_slots_.resize(n);
+  sorted_store_slots_.resize(n);
   for (std::size_t k = 0; k < n; ++k) {
     const int l = new_labels_[k];
     const std::size_t dst = bucket_[static_cast<std::size_t>(l)]++;
     const Slot slot = slots_[ss + k];
     sorted_[dst] = order_[ss + k];
     sorted_slots_[dst] = slot;
+    sorted_store_slots_[dst] = store_slots_[ss + k];
     labels_[ss + dst] = l;
     if (dst != k) info_[slot].pos = static_cast<std::uint32_t>(ss + dst);
   }
   const auto at = static_cast<std::ptrdiff_t>(ss);
   std::copy(sorted_.begin(), sorted_.end(), order_.begin() + at);
   std::copy(sorted_slots_.begin(), sorted_slots_.end(), slots_.begin() + at);
+  std::copy(sorted_store_slots_.begin(), sorted_store_slots_.end(),
+            store_slots_.begin() + at);
   place_from(ss);
 }
 
@@ -369,6 +376,7 @@ void GeoAllocator::insert(ItemId id, Tick size) {
     const Tick off =
         huge_count_ == 0 ? 0 : mem_->end_of(order_[huge_count_ - 1]);
     mem_->place(id, off, size);
+    store_slots_.insert(store_slots_.begin() + at, mem_->slot_of(id));
     ++huge_count_;
     apply_layout(huge_count_);
     return;
@@ -382,6 +390,7 @@ void GeoAllocator::insert(ItemId id, Tick size) {
   order_.push_back(id);
   labels_.push_back(ell_);
   slots_.push_back(slot);
+  store_slots_.push_back(mem_->slot_of(id));
   class_items_[cls].insert({size, id, slot});
 
   bump_counters_and_rebuild(cls, /*is_insert=*/true);
@@ -448,6 +457,7 @@ void GeoAllocator::erase(ItemId id) {
     info_[other.slot].pos = static_cast<std::uint32_t>(p);
     order_[p] = other.id;
     slots_[p] = other.slot;
+    store_slots_[p] = store_slots_[q];
     erase_at(q);
     hole_pos = q;
     swapped = true;
@@ -479,6 +489,7 @@ void GeoAllocator::erase(ItemId id) {
 void GeoAllocator::check_invariants() const {
   MEMREAL_CHECK(labels_.size() == order_.size());
   MEMREAL_CHECK(slots_.size() == order_.size());
+  MEMREAL_CHECK(store_slots_.size() == order_.size());
   MEMREAL_CHECK(slot_of_.size() == order_.size());
   MEMREAL_CHECK(info_.size() == order_.size() + free_slots_.size());
   // Slots: order_, slots_, info_ and the id map agree on every live item;
@@ -489,6 +500,8 @@ void GeoAllocator::check_invariants() const {
     MEMREAL_CHECK_MSG(info_[slot].id == order_[k] && info_[slot].pos == k,
                       "info_[slots_[" << k << "]] disagrees with order_");
     MEMREAL_CHECK(slot_of_.at(order_[k]) == slot);
+    MEMREAL_CHECK_MSG(store_slots_[k] == mem_->slot_of(order_[k]),
+                      "store_slots_[" << k << "] is stale");
   }
   std::vector<bool> listed(info_.size(), false);
   for (const Slot slot : free_slots_) {

@@ -34,13 +34,15 @@
 // slot map is consulted once per insert/erase and in label_of; everything
 // else addresses items by slot.  Labels live only in labels_, an array
 // parallel to the layout order order_ (huge items carry -1), and slots_
-// sits beside both, so every level boundary is a binary search, a pos
-// refresh is an array walk, and a level rebuild — a stable partition of a
-// suffix of order_ by new label — is a counting sort over the ell+1
-// labels.  Each size class is a flat array sorted by (logical size, id)
-// whose entries carry their slot, so ranking a class's smallest members
-// is a sequential scan; an insert or erase there is one memmove, no worse
-// than the order_ erase every delete already pays.
+// and store_slots_ (each item's LayoutStore slot, which every apply_run
+// passes so the store skips its id lookup) sit beside both, so every
+// level boundary is a binary search, a pos refresh is an array walk, and
+// a level rebuild — a stable partition of a suffix of order_ by new
+// label — is a counting sort over the ell+1 labels.  Each size class is a
+// flat array sorted by (logical size, id) whose entries carry their slot,
+// so ranking a class's smallest members is a sequential scan; an insert
+// or erase there is one memmove, no worse than the order_ erase every
+// delete already pays.
 #pragma once
 
 #include <cstdint>
@@ -130,7 +132,7 @@ class GeoAllocator final : public Allocator {
   };
 
   /// Relocates order_[from, end) extent-contiguously behind
-  /// order_[from - 1] (or from 0) in one LayoutStore::apply_run.
+  /// order_[from - 1] (or from 0) in one slot-form LayoutStore::apply_run.
   void place_from(std::size_t from);
   /// place_from plus a pos refresh, for callers that shifted indices.
   void apply_layout(std::size_t from);
@@ -139,7 +141,7 @@ class GeoAllocator final : public Allocator {
   [[nodiscard]] Slot claim_slot(ItemId id, std::size_t cls, std::size_t pos);
   /// Unmaps id and returns its slot to the free list.
   void release_slot(ItemId id, Slot slot);
-  /// Drops order_/labels_/slots_ entry k.
+  /// Drops order_/labels_/slots_/store_slots_ entry k.
   void erase_at(std::size_t k);
   [[nodiscard]] std::size_t suffix_start_for_label(int label) const;
   void rebuild_level(int j0);
@@ -170,6 +172,9 @@ class GeoAllocator final : public Allocator {
   std::vector<ItemId> order_;  ///< sorted: huge first, then by label asc
   std::vector<int> labels_;    ///< labels_[k] = label of order_[k]
   std::vector<Slot> slots_;    ///< slots_[k] = slot of order_[k]
+  /// store_slots_[k] = mem_->slot_of(order_[k]), cached once per place so
+  /// every apply_run takes the store's slot form.
+  std::vector<std::uint32_t> store_slots_;
   std::vector<Info> info_;     ///< by slot
   std::vector<Slot> free_slots_;
   FlatIdMap<Slot> slot_of_;
@@ -186,6 +191,7 @@ class GeoAllocator final : public Allocator {
   std::vector<std::size_t> bucket_;  ///< counting-sort offsets per label
   std::vector<ItemId> sorted_;       ///< suffix in new-label order
   std::vector<Slot> sorted_slots_;   ///< parallel to sorted_
+  std::vector<std::uint32_t> sorted_store_slots_;  ///< parallel to sorted_
 };
 
 }  // namespace memreal

@@ -9,9 +9,10 @@
 //                             incremental per-update invariant checks,
 //                             periodic full audits.  The correctness
 //                             reference for everything else.
-//   SlabStore (src/release) — the release fast path: flat item records,
-//                             open-addressed id map, no per-update
-//                             validation, only O(1) cost counters.  Its
+//   SlabStore (src/release) — the release fast path: flat item records in
+//                             stable slots, open-addressed id map, no
+//                             per-update validation, only O(1) cost
+//                             counters.  Its
 //                             correctness is established externally by the
 //                             lockstep differential suite (ctest -L
 //                             release), not by inline checks.
@@ -22,9 +23,21 @@
 // Both implementations order items by (offset, id) so that transient
 // mid-update states where two items share an offset stay representable and
 // every ordered query returns bit-identical results across stores.
+//
+// Slot contract.  A store may give each live item a slot: a uint32_t
+// handle, returned by slot_of, that stays the item's until the item is
+// removed (moves, extent changes and other items' removals keep it), after
+// which the store may hand it to a later place.  A caller that caches
+// slot_of once after each place may pass the cached slots to the slot form
+// of apply_run, which skips the id lookup.  The store checks each slot
+// against the id it names and throws InvariantViolation, before moving
+// anything, on a stale slot (its item gone, perhaps replaced) or one
+// naming another id.  Stores without slots keep the defaults: slot_of
+// returns 0 and the slot form is the id form.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <utility>
@@ -128,8 +141,22 @@ class LayoutStore {
     return offset;
   }
 
+  /// The slot form of apply_run (see the slot contract above):
+  /// slots[j] must be slot_of(ids[j]).  Same moves, charges and return.
+  virtual Tick apply_run(std::span<const ItemId> ids,
+                         std::span<const std::uint32_t> slots, Tick offset) {
+    (void)slots;
+    return apply_run(ids, offset);
+  }
+
   // -- Point queries --------------------------------------------------------
 
+  /// The live item's slot (see the slot contract above); 0 for stores
+  /// without slots.
+  [[nodiscard]] virtual std::uint32_t slot_of(ItemId id) const {
+    (void)id;
+    return 0;
+  }
   [[nodiscard]] virtual bool contains(ItemId id) const = 0;
   [[nodiscard]] virtual Tick offset_of(ItemId id) const = 0;
   [[nodiscard]] virtual Tick size_of(ItemId id) const = 0;

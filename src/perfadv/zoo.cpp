@@ -256,7 +256,7 @@ WorkloadShape scenario_shape(const ScenarioInfo& info,
 
 std::string scenario_incompatibility(const std::string& name,
                                      const AllocatorInfo& info, double eps,
-                                     Tick capacity) {
+                                     Tick capacity, double target_load) {
   const ScenarioInfo* s = find_scenario(name);
   MEMREAL_CHECK_MSG(s != nullptr, "unknown scenario '"
                                       << name << "' (registered: "
@@ -277,10 +277,10 @@ std::string scenario_incompatibility(const std::string& name,
            std::to_string(p.max_size) + "] has ratio " +
            std::to_string(ratio);
   }
-  // Fill feasibility: a seed fills toward the target load one item at a
-  // time, so its length scales as load * capacity / item size.  Bands that
-  // are tiny relative to capacity (TINYSLAB-family, sizes <= eps^4) would
-  // need millions of fill updates — unsearchable, so incompatible.
+  // Fill feasibility: a seed fills toward target_load one item at a time,
+  // so its length scales as target_load * capacity / item size.  Bands
+  // that are tiny relative to capacity (TINYSLAB-family, sizes <= eps^4)
+  // would need millions of fill updates — unsearchable, so incompatible.
   const WorkloadShape shape = scenario_shape(*s, p);
   const double fill_size =
       s->fill_on_min ? static_cast<double>(shape.min_size)
@@ -288,7 +288,7 @@ std::string scenario_incompatibility(const std::string& name,
                         static_cast<double>(shape.max_size)) /
                            2.0;
   const double est_fill =
-      0.8 * static_cast<double>(capacity) / std::max(1.0, fill_size);
+      target_load * static_cast<double>(capacity) / std::max(1.0, fill_size);
   if (est_fill > static_cast<double>(kMaxScenarioSeedUpdates)) {
     return name + ": fill phase would need ~" +
            std::to_string(static_cast<unsigned long long>(est_fill)) +
@@ -302,10 +302,12 @@ std::string scenario_incompatibility(const std::string& name,
 }
 
 std::vector<std::string> compatible_scenarios(const AllocatorInfo& info,
-                                              double eps, Tick capacity) {
+                                              double eps, Tick capacity,
+                                              double target_load) {
   std::vector<std::string> names;
   for (const ScenarioInfo& s : scenario_infos()) {
-    if (scenario_incompatibility(s.name, info, eps, capacity).empty()) {
+    if (scenario_incompatibility(s.name, info, eps, capacity, target_load)
+            .empty()) {
       names.push_back(s.name);
     }
   }

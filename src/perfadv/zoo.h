@@ -32,6 +32,9 @@
 
 namespace memreal {
 
+/// The load a scenario's fill phase reaches unless a driver lowers it.
+inline constexpr double kDefaultTargetLoad = 0.8;
+
 /// Generation parameters shared by every scenario.  Band and palette
 /// fields are normally derived from a registry AllocatorInfo via
 /// scenario_params_for so the stream is admissible for that allocator.
@@ -47,7 +50,7 @@ struct ScenarioParams {
   std::size_t tenants = 4;   ///< multi_tenant_zipf only
   double zipf_s = 1.0;       ///< multi_tenant_zipf only
   Tick bytes_per_tick = 8;   ///< vm_heap only
-  double target_load = 0.8;
+  double target_load = kDefaultTargetLoad;
   std::size_t updates = 2'000;  ///< churn updates after the fill phase
   std::uint64_t seed = 1;
 };
@@ -102,14 +105,15 @@ inline constexpr std::size_t kMaxScenarioSeedUpdates = 150'000;
                                            const ScenarioParams& p);
 
 /// Empty when `info` can serve the named scenario at (eps, capacity) with
-/// scenario_params_for-derived parameters; otherwise a one-line reason.
-/// Throws for unknown scenario names.
-[[nodiscard]] std::string scenario_incompatibility(const std::string& name,
-                                                   const AllocatorInfo& info,
-                                                   double eps, Tick capacity);
+/// scenario_params_for-derived parameters filled to `target_load`;
+/// otherwise a one-line reason.  Throws for unknown scenario names.
+[[nodiscard]] std::string scenario_incompatibility(
+    const std::string& name, const AllocatorInfo& info, double eps,
+    Tick capacity, double target_load = kDefaultTargetLoad);
 
-/// The scenarios `info` can serve, in registry order.
+/// The scenarios `info` can serve at `target_load`, in registry order.
 [[nodiscard]] std::vector<std::string> compatible_scenarios(
-    const AllocatorInfo& info, double eps, Tick capacity);
+    const AllocatorInfo& info, double eps, Tick capacity,
+    double target_load = kDefaultTargetLoad);
 
 }  // namespace memreal

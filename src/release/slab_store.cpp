@@ -82,21 +82,30 @@ void SlabStore::place(ItemId id, Tick offset, Tick size, Tick extent) {
   if (extent == 0) extent = size;
   MEMREAL_CHECK(extent >= size);
   // One probe resolves the id: a duplicate is refused before any state
-  // changes.
-  const auto slot = static_cast<std::uint32_t>(recs_.size());
+  // changes.  A freed slot is reused before the slab grows.
+  const bool fresh = free_slots_.empty();
+  const std::uint32_t slot =
+      fresh ? static_cast<std::uint32_t>(recs_.size()) : free_slots_.back();
   MEMREAL_CHECK_MSG(ids_.try_emplace(id, slot).second,
                     "item " << id << " already placed");
-  recs_.push_back(Record{id, offset, size, extent});
+  const Record rec{id, offset, size, extent};
+  if (fresh) {
+    recs_.push_back(rec);
+    index_pos_.push_back(0);
+    run_stamp_.push_back(0);
+  } else {
+    free_slots_.pop_back();
+    recs_[slot] = rec;
+  }
   if (by_offset_.empty() || slot_less(by_offset_.back(), slot)) {
     // Rightmost placement (every append-style allocator insert): no shift.
-    index_pos_.push_back(static_cast<std::uint32_t>(by_offset_.size()));
+    index_pos_[slot] = static_cast<std::uint32_t>(by_offset_.size());
     by_offset_.push_back(slot);
   } else {
     const std::size_t pos = index_lower_bound(offset, id);
     by_offset_.insert(by_offset_.begin() + static_cast<std::ptrdiff_t>(pos),
                       slot);
-    index_pos_.push_back(static_cast<std::uint32_t>(pos));
-    for (std::size_t i = pos + 1; i < by_offset_.size(); ++i) {
+    for (std::size_t i = pos; i < by_offset_.size(); ++i) {
       index_pos_[by_offset_[i]] = static_cast<std::uint32_t>(i);
     }
   }
@@ -120,18 +129,30 @@ void SlabStore::move_to(ItemId id, Tick offset) {
   moved_ += r.size;
 }
 
-bool SlabStore::run_is_block(std::size_t lo, Tick offset, Tick end,
-                             bool in_index_order) {
-  const std::size_t k = run_slots_.size();
-  if (!in_index_order) {
-    // k positions inside a range of k: distinct iff none repeats.
-    run_seen_.assign(k, 0);
-    for (const std::uint32_t slot : run_slots_) {
-      std::uint8_t& seen = run_seen_[index_pos_[slot] - lo];
-      if (seen != 0) return false;
-      seen = 1;
-    }
+template <typename SlotAt>
+SlabStore::RunShape SlabStore::resolve_run(std::size_t k, Tick offset,
+                                           SlotAt slot_at) {
+  // A fresh stamp per run; on wraparound every old stamp is cleared so
+  // none can equal the new one.
+  if (++run_epoch_ == 0) {
+    std::fill(run_stamp_.begin(), run_stamp_.end(), 0);
+    run_epoch_ = 1;
   }
+  run_slots_.resize(k);
+  RunShape run{by_offset_.size(), 0, true, offset};
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::uint32_t slot = slot_at(j);
+    run_slots_[j] = slot;
+    run.distinct &= std::exchange(run_stamp_[slot], run_epoch_) != run_epoch_;
+    const std::size_t pos = index_pos_[slot];
+    run.lo = std::min(run.lo, pos);
+    run.hi = std::max(run.hi, pos);
+    run.end += recs_[slot].extent;
+  }
+  return run;
+}
+
+bool SlabStore::run_fits_block(std::size_t lo, Tick offset, Tick end) const {
   // Extents >= 1 make the run's new keys strictly increasing, so only the
   // two ends need checking against the unmoved neighbors.
   const Record& first = recs_[run_slots_.front()];
@@ -140,7 +161,7 @@ bool SlabStore::run_is_block(std::size_t lo, Tick offset, Tick end,
     const Record& left = recs_[by_offset_[lo - 1]];
     if (!key_less(left.offset, left.id, offset, first.id)) return false;
   }
-  const std::size_t hi = lo + k - 1;
+  const std::size_t hi = lo + run_slots_.size() - 1;
   if (hi + 1 < by_offset_.size()) {
     const Record& right = recs_[by_offset_[hi + 1]];
     if (!key_less(end - last.extent, last.id, right.offset, right.id)) {
@@ -152,32 +173,39 @@ bool SlabStore::run_is_block(std::size_t lo, Tick offset, Tick end,
 
 Tick SlabStore::apply_run(std::span<const ItemId> ids, Tick offset) {
   MEMREAL_CHECK_MSG(in_update_, "layout mutation outside an update");
-  // Resolve every id once, collecting the run's index range, whether it
-  // already walks that range in index order (every compaction), and its
-  // end.
-  const std::size_t k = ids.size();
-  run_slots_.resize(k);
-  std::size_t lo = by_offset_.size();
-  std::size_t hi = 0;
-  bool in_index_order = true;
-  Tick end = offset;
-  for (std::size_t j = 0; j < k; ++j) {
-    const std::uint32_t slot = slot_of(ids[j]);
-    const std::size_t pos = index_pos_[slot];
-    run_slots_[j] = slot;
-    in_index_order &= j == 0 || pos == hi + 1;
-    lo = std::min(lo, pos);
-    hi = std::max(hi, pos);
-    end += recs_[slot].extent;
-  }
-  const bool block = k > 0 && hi - lo + 1 == k &&
-                     run_is_block(lo, offset, end, in_index_order);
+  const RunShape run = resolve_run(ids.size(), offset, [&](std::size_t j) {
+    return slot_of(ids[j]);
+  });
+  return apply_resolved(run, offset);
+}
+
+Tick SlabStore::apply_run(std::span<const ItemId> ids,
+                          std::span<const std::uint32_t> slots, Tick offset) {
+  MEMREAL_CHECK_MSG(in_update_, "layout mutation outside an update");
+  MEMREAL_CHECK_MSG(slots.size() == ids.size(),
+                    "run of " << ids.size() << " ids with " << slots.size()
+                              << " slots");
+  // The id check reads the record line the resolve pass reads for the
+  // extent anyway; a free slot holds kNoItem, which no placed id equals.
+  const RunShape run = resolve_run(ids.size(), offset, [&](std::size_t j) {
+    const std::uint32_t slot = slots[j];
+    MEMREAL_CHECK_MSG(slot < recs_.size() && recs_[slot].id == ids[j],
+                      "slot " << slot << " does not hold item " << ids[j]);
+    return slot;
+  });
+  return apply_resolved(run, offset);
+}
+
+Tick SlabStore::apply_resolved(const RunShape& run, Tick offset) {
+  const std::size_t k = run_slots_.size();
+  const bool block = k > 0 && run.distinct && run.hi - run.lo + 1 == k &&
+                     run_fits_block(run.lo, offset, run.end);
   bool any_moved = false;
   if (block) {
     // Block rewrite (every SIMPLE rebuild, GEO's suffix rebuilds): the run
     // order is the new index order of positions [lo, lo + k), so the index
     // is written directly — no per-move order checks, no reseat rotations.
-    for (std::size_t j = 0; j < run_slots_.size(); ++j) {
+    for (std::size_t j = 0; j < k; ++j) {
       const std::uint32_t slot = run_slots_[j];
       Record& r = recs_[slot];
       if (r.offset != offset) {
@@ -185,8 +213,8 @@ Tick SlabStore::apply_run(std::span<const ItemId> ids, Tick offset) {
         moved_ += r.size;
         any_moved = true;
       }
-      by_offset_[lo + j] = slot;
-      index_pos_[slot] = static_cast<std::uint32_t>(lo + j);
+      by_offset_[run.lo + j] = slot;
+      index_pos_[slot] = static_cast<std::uint32_t>(run.lo + j);
       offset += r.extent;
     }
   } else {
@@ -211,7 +239,7 @@ Tick SlabStore::apply_run(std::span<const ItemId> ids, Tick offset) {
   // `offset`; when the span was clean and the run reaches at or past it,
   // every surviving end is <= `offset` and the span is exact.  A run
   // ending short may have moved the old maximum down — recompute lazily.
-  if (block && run_slots_.size() == recs_.size()) {
+  if (block && k == by_offset_.size()) {
     span_ = offset;
     span_dirty_ = false;
   } else if (any_moved) {
@@ -270,26 +298,19 @@ void SlabStore::reset_extent(ItemId id) {
 void SlabStore::remove(ItemId id) {
   MEMREAL_CHECK_MSG(in_update_, "layout mutation outside an update");
   const std::uint32_t slot = slot_of(id);
-  live_mass_ -= recs_[slot].size;
-  extent_mass_ -= recs_[slot].extent;
-  span_drop(recs_[slot].offset + recs_[slot].extent);
+  const Record& r = recs_[slot];
+  live_mass_ -= r.size;
+  extent_mass_ -= r.extent;
+  span_drop(r.offset + r.extent);
   const std::size_t pos = index_pos_[slot];
   by_offset_.erase(by_offset_.begin() + static_cast<std::ptrdiff_t>(pos));
   for (std::size_t i = pos; i < by_offset_.size(); ++i) {
     index_pos_[by_offset_[i]] = static_cast<std::uint32_t>(i);
   }
   ids_.erase(id);
-  // Swap-with-last keeps the record arrays dense; the moved record's map
-  // and index entries must be re-pointed at its new slot.
-  const auto last = static_cast<std::uint32_t>(recs_.size() - 1);
-  if (slot != last) {
-    recs_[slot] = recs_[last];
-    index_pos_[slot] = index_pos_[last];
-    by_offset_[index_pos_[slot]] = slot;
-    *ids_.find(recs_[slot].id) = slot;
-  }
-  recs_.pop_back();
-  index_pos_.pop_back();
+  // Every other item keeps its slot; this one is zeroed for reuse.
+  recs_[slot] = Record{kNoItem, 0, 0, 0};
+  free_slots_.push_back(slot);
 }
 
 // -- Span cache -------------------------------------------------------------
@@ -379,11 +400,24 @@ std::vector<std::pair<Tick, Tick>> SlabStore::gaps() const {
 // -- Validation -------------------------------------------------------------
 
 void SlabStore::audit() const {
-  MEMREAL_CHECK_MSG(by_offset_.size() == recs_.size(),
+  MEMREAL_CHECK_MSG(by_offset_.size() + free_slots_.size() == recs_.size(),
                     "by-offset index size drift");
-  MEMREAL_CHECK_MSG(index_pos_.size() == recs_.size(),
-                    "position-cache size drift");
-  MEMREAL_CHECK_MSG(ids_.size() == recs_.size(), "id-map size drift");
+  MEMREAL_CHECK_MSG(index_pos_.size() == recs_.size() &&
+                        run_stamp_.size() == recs_.size(),
+                    "per-slot array size drift");
+  MEMREAL_CHECK_MSG(ids_.size() == by_offset_.size(), "id-map size drift");
+  // Each free slot is listed once and zeroed; with the size check above,
+  // the live slots are exactly the ones by_offset_ lists.
+  std::vector<bool> free(recs_.size(), false);
+  for (const std::uint32_t slot : free_slots_) {
+    MEMREAL_CHECK_MSG(slot < recs_.size() && !free[slot],
+                      "free-slot list drift at slot " << slot);
+    const Record& r = recs_[slot];
+    MEMREAL_CHECK_MSG(r.id == kNoItem && r.offset == 0 && r.size == 0 &&
+                          r.extent == 0,
+                      "free slot " << slot << " holds a record");
+    free[slot] = true;
+  }
 
   Tick live = 0;
   Tick ext = 0;
@@ -393,7 +427,8 @@ void SlabStore::audit() const {
   Tick prev_offset = 0;
   for (std::size_t pos = 0; pos < by_offset_.size(); ++pos) {
     const std::uint32_t slot = by_offset_[pos];
-    MEMREAL_CHECK_MSG(slot < recs_.size(), "by-offset index slot drift");
+    MEMREAL_CHECK_MSG(slot < recs_.size() && !free[slot],
+                      "by-offset index slot drift");
     const auto [id, offset, size, extent] = recs_[slot];
     MEMREAL_CHECK_MSG(index_pos_[slot] == pos,
                       "position-cache drift for item " << id);

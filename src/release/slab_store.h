@@ -9,17 +9,25 @@
 // Layout of the slab:
 //
 //   recs_                   one 32-byte record {id, offset, size, extent}
-//                           per live item; slots are kept dense by
-//                           swap-with-last removal.  A relocation, an
-//                           order comparison or a query result touches
-//                           one cache line per item, not one per field
+//                           per slot.  A relocation, an order comparison or
+//                           a query result touches one cache line per item,
+//                           not one per field
+//   free_slots_             slots of removed items, reused LIFO by place():
+//                           a slot names one item for that item's whole
+//                           life, so callers may cache it (slot_of) and
+//                           hand it back to apply_run.  A free record is
+//                           {kNoItem, 0, 0, 0}: no id matches it and its
+//                           end never raises the span
 //   ids_                    id -> slot FlatIdMap (util/flat_map.h): O(1)
 //                           point queries
-//   by_offset_ / index_pos_ slot indices sorted by (offset, id), plus the
+//   by_offset_ / index_pos_ live slots sorted by (offset, id), plus the
 //                           inverse permutation (slot -> position):
 //                           ordered queries are binary searches over
 //                           contiguous memory; mutations find their own
 //                           entry in O(1) via index_pos_
+//   run_stamp_              per slot, the last apply_run that named it:
+//                           a run is distinct iff no slot already carries
+//                           the run's stamp when the resolve pass reaches it
 //   span_ / span_dirty_     cached max offset+extent; moving or shrinking
 //                           the rightmost item marks it dirty and the next
 //                           span_end() recomputes with one O(n) scan
@@ -35,9 +43,13 @@
 // so each item costs one record write and two index writes whether or not
 // the move reorders it (GEO's level rebuilds stably partition a suffix by
 // label; SIMPLE's rebuild is the case lo = 0, k = n).  Any other run
-// falls back to the per-move order check and reseat.  Third, span_end()
-// is rarely read between updates, so the span cache is a scalar with lazy
-// recompute instead of a sorted multiset that would charge two
+// falls back to the per-move order check and reseat.  One resolve pass
+// before any write gathers what that decision needs (each slot's index
+// position and extent, the distinctness stamp); its slot form takes the
+// caller's cached slots and checks each against the id it names on the
+// record line it reads anyway, so GEO's runs pay no id hash.  Third,
+// span_end() is rarely read between updates, so the span cache is a scalar
+// with lazy recompute instead of a sorted multiset that would charge two
 // binary-search insertions per move.
 //
 // The (offset, id) sort key matches Memory's index exactly, so every
@@ -54,8 +66,9 @@
 //     the full structural check on demand (end-of-run, fuzz verdicts).
 //   * adversary promises (load factor) per update — audited at run end.
 //
-// Only O(1) usage assertions remain on the hot path (unknown id, nested
-// update, zero size): they prevent undefined behavior, not layout bugs.
+// Only O(1) usage assertions remain on the hot path (unknown id, stale
+// slot, nested update, zero size): they prevent undefined behavior, not
+// layout bugs.
 #pragma once
 
 #include <cstddef>
@@ -97,8 +110,18 @@ class SlabStore final : public LayoutStore {
   void reset_extents(std::span<const ItemId> ids) override;
   void remove(ItemId id) override;
   Tick apply_run(std::span<const ItemId> ids, Tick offset) override;
+  /// The slot form: slots[j] must be slot_of(ids[j]).  A slot that names
+  /// another id (or none) throws before anything moves.
+  Tick apply_run(std::span<const ItemId> ids,
+                 std::span<const std::uint32_t> slots, Tick offset) override;
 
   // -- Point queries ------------------------------------------------------
+
+  /// The item's record slot, stable until the item is removed; a missing
+  /// id is a usage error.
+  [[nodiscard]] std::uint32_t slot_of(ItemId id) const override {
+    return ids_.at(id);
+  }
 
   [[nodiscard]] bool contains(ItemId id) const override {
     return ids_.contains(id);
@@ -118,7 +141,7 @@ class SlabStore final : public LayoutStore {
   }
 
   [[nodiscard]] std::size_t item_count() const override {
-    return recs_.size();
+    return by_offset_.size();
   }
   [[nodiscard]] Tick live_mass() const override { return live_mass_; }
   [[nodiscard]] Tick extent_mass() const override { return extent_mass_; }
@@ -182,9 +205,6 @@ class SlabStore final : public LayoutStore {
   };
   static_assert(sizeof(Record) == 32);
 
-  /// The slot of a live item; a missing id is a usage error.
-  [[nodiscard]] std::uint32_t slot_of(ItemId id) const { return ids_.at(id); }
-
   /// (offset, id) order of two slots — the index sort key.
   [[nodiscard]] bool slot_less(std::uint32_t a, std::uint32_t b) const {
     return key_less(recs_[a].offset, recs_[a].id, recs_[b].offset,
@@ -212,14 +232,30 @@ class SlabStore final : public LayoutStore {
            (pos + 1 == by_offset_.size() ||
             slot_less(slot, by_offset_[pos + 1]));
   }
-  /// Whether apply_run may write the run as one index block, given that
-  /// the k resolved slots in run_slots_ lie in index positions
-  /// [lo, lo + k) and the run spans [offset, end): the slots are distinct
-  /// (implied when `in_index_order`, i.e. slot j sits at lo + j), and the
-  /// first new key and the last stay between the block's unmoved index
-  /// neighbors.  Touches no layout state.
-  [[nodiscard]] bool run_is_block(std::size_t lo, Tick offset, Tick end,
-                                  bool in_index_order);
+  /// What apply_run's resolve pass learns before any write: the index
+  /// positions [lo, hi] its slots span, whether the slots are distinct,
+  /// and the run's end.
+  struct RunShape {
+    std::size_t lo;
+    std::size_t hi;
+    bool distinct;
+    Tick end;
+  };
+  /// The resolve pass over a run of k items placed from `offset`:
+  /// run_slots_[j] = slot_at(j), each stamped with a fresh run stamp.
+  /// Touches no layout state, so a throwing slot_at leaves it intact.
+  template <typename SlotAt>
+  [[nodiscard]] RunShape resolve_run(std::size_t k, Tick offset,
+                                     SlotAt slot_at);
+  /// The write half shared by both apply_run forms: one block rewrite of
+  /// the run's index range when the resolved run allows it, else the
+  /// per-move loop.
+  Tick apply_resolved(const RunShape& run, Tick offset);
+  /// Whether a distinct run filling index positions [lo, lo + k) and
+  /// spanning [offset, end) keeps its first and last new keys between the
+  /// block's unmoved index neighbors.
+  [[nodiscard]] bool run_fits_block(std::size_t lo, Tick offset,
+                                    Tick end) const;
 
   [[nodiscard]] PlacedItem placed(std::uint32_t slot) const {
     const Record& r = recs_[slot];
@@ -240,17 +276,19 @@ class SlabStore final : public LayoutStore {
   Tick eps_ticks_;
   ValidationPolicy policy_;
 
-  std::vector<Record> recs_;
+  std::vector<Record> recs_;              ///< by slot; free slots zeroed
+  std::vector<std::uint32_t> free_slots_;
 
   FlatIdMap<std::uint32_t> ids_;  ///< id -> slot in recs_
 
-  std::vector<std::uint32_t> by_offset_;
+  std::vector<std::uint32_t> by_offset_;  ///< live slots in (offset, id) order
   std::vector<std::uint32_t> index_pos_;  ///< slot -> position in by_offset_
 
-  /// apply_run scratch, reused across runs: each run id's slot, and a
-  /// seen-flag per candidate index position for the distinctness check.
+  /// apply_run scratch, reused across runs: each run item's slot, the
+  /// stamp of the last run naming each slot, and the current run's stamp.
   std::vector<std::uint32_t> run_slots_;
-  std::vector<std::uint8_t> run_seen_;
+  std::vector<std::uint32_t> run_stamp_;
+  std::uint32_t run_epoch_ = 0;
 
   Tick live_mass_ = 0;
   Tick extent_mass_ = 0;

@@ -32,6 +32,7 @@
 #include "arena/byte_space.h"
 #include "fuzz/differential.h"
 #include "fuzz/fuzzer.h"
+#include "release/slab_store.h"
 #include "harness/cell.h"
 #include "harness/cell.h"
 #include "shard/sharded_engine.h"
@@ -216,6 +217,51 @@ void expect_byte_bound(const ArenaStore& store, const std::string& where) {
   const Tick slack = static_cast<Tick>(store.payload_moves()) * (bpt - 1);
   EXPECT_LE(store.total_bytes_moved(), upper) << where;
   EXPECT_GE(store.total_bytes_moved() + slack, upper) << where;
+}
+
+TEST(ArenaStore, InheritedSlotFormRunMatchesIdFormOverSlabStore) {
+  // ArenaStore has no slots of its own: it inherits the slot form, which
+  // forwards to its id form.  Two arenas over two SlabStores replay one
+  // script, one in each form, and must charge, move and verify the same.
+  ValidationPolicy loose;
+  loose.check_resizable_bound = false;
+  loose.check_load_factor = false;
+  SlabStore slab_a(kCap, 16, loose);
+  SlabStore slab_b(kCap, 16, loose);
+  ArenaStore by_id(slab_a, ByteSpace(8));
+  ArenaStore by_slot(slab_b, ByteSpace(8));
+  const auto step = [&](const std::function<void(LayoutStore&, bool)>& fn) {
+    by_id.begin_update(1, true);
+    by_slot.begin_update(1, true);
+    fn(by_id, false);
+    fn(by_slot, true);
+    EXPECT_EQ(by_id.end_update(), by_slot.end_update());
+    EXPECT_EQ(by_id.last_update_bytes(), by_slot.last_update_bytes());
+    EXPECT_EQ(by_id.total_bytes_moved(), by_slot.total_bytes_moved());
+    expect_same_layout(by_id, by_slot, "slot-form script");
+    by_id.audit();  // payload verification of every live item
+    by_slot.audit();
+  };
+  const auto run = [&](const std::vector<ItemId>& ids, Tick offset) {
+    step([&](LayoutStore& store, bool slot_form) {
+      std::vector<std::uint32_t> slots;
+      for (const ItemId id : ids) slots.push_back(store.slot_of(id));
+      const Tick end = slot_form ? store.apply_run(ids, slots, offset)
+                                 : store.apply_run(ids, offset);
+      EXPECT_EQ(end, offset + 4 * ids.size());
+    });
+  };
+  for (ItemId id = 1; id <= 5; ++id) {
+    step([&](LayoutStore& store, bool) {
+      static_cast<ArenaStore&>(store).stage_insert(id, 25);
+      store.place(id, (id - 1) * 10, 4);
+    });
+  }
+  run({5, 4, 3}, 20);  // reorders index positions [2, 4]
+  run({1, 2, 3, 4, 5}, 100);
+  step([&](LayoutStore& store, bool) { store.remove(2); });
+  run({3, 1, 5, 3}, 0);  // a repeated id moves twice
+  EXPECT_GT(by_slot.total_bytes_moved(), 5u * 25u);
 }
 
 /// Plain validated cell vs arena cells over both inner stores, lockstep.

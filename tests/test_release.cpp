@@ -425,6 +425,45 @@ class StorePair {
     finish("run");
   }
 
+  /// The slot form on both stores: Memory has no slots and inherits the
+  /// id-form default, the slab checks and uses `slots`.
+  void run(const std::vector<ItemId>& ids,
+           const std::vector<std::uint32_t>& slots, Tick offset) {
+    memory_.begin_update(1, false);
+    slab_.begin_update(1, false);
+    const Tick memory_end = memory_.apply_run(ids, slots, offset);
+    const Tick slab_end = slab_.apply_run(ids, slots, offset);
+    EXPECT_EQ(memory_end, slab_end);
+    finish("slot-form run");
+  }
+
+  /// A slot-form run the slab must refuse: it throws with nothing moved
+  /// or charged, and the layout still matches the untouched Memory.
+  void refused_run(const std::vector<ItemId>& ids,
+                   const std::vector<std::uint32_t>& slots, Tick offset) {
+    memory_.begin_update(1, false);
+    slab_.begin_update(1, false);
+    EXPECT_THROW((void)slab_.apply_run(ids, slots, offset),
+                 InvariantViolation);
+    EXPECT_EQ(slab_.moved_in_update(), 0u);
+    finish("refused slot-form run");
+  }
+
+  void remove(ItemId id) {
+    memory_.begin_update(1, false);
+    slab_.begin_update(1, false);
+    memory_.remove(id);
+    slab_.remove(id);
+    finish("remove " + std::to_string(id));
+  }
+
+  /// The slab slots of `ids`, as a caller caches them.
+  std::vector<std::uint32_t> slots(const std::vector<ItemId>& ids) const {
+    std::vector<std::uint32_t> out;
+    for (const ItemId id : ids) out.push_back(slab_.slot_of(id));
+    return out;
+  }
+
   void reset_extents(const std::vector<ItemId>& ids) {
     memory_.begin_update(1, false);
     slab_.begin_update(1, false);
@@ -566,6 +605,78 @@ TEST(SlabStore, ContiguousRunCrossingAnOutsideNeighborFallsBack) {
   for (ItemId id = 1; id <= 4; ++id) left.place(id, 100 + (id - 1) * 100, 10);
   left.run({3, 4}, 0);
   EXPECT_EQ(left.slab().first_item()->id, 3u);
+}
+
+TEST(SlabStore, SlotSurvivesMovesAndOtherItemsRemovals) {
+  StorePair pair;
+  for (ItemId id = 1; id <= 5; ++id) pair.place(id, (id - 1) * 10, 10);
+  const std::vector<std::uint32_t> before = pair.slots({1, 3, 5});
+  pair.run({5, 4, 3, 2, 1}, 0);  // reorders every item
+  pair.remove(2);
+  pair.remove(4);
+  pair.run({1, 3, 5}, 0);
+  EXPECT_EQ(pair.slots({1, 3, 5}), before);
+  // The cached slots still drive a slot-form run after all of that.
+  pair.run({1, 3, 5}, before, 100);
+  EXPECT_EQ(pair.slab().offset_of(5), 120u);
+}
+
+TEST(SlabStore, FreedSlotIsReused) {
+  StorePair pair;
+  for (ItemId id = 1; id <= 3; ++id) pair.place(id, (id - 1) * 10, 10);
+  const std::uint32_t freed = pair.slab().slot_of(2);
+  pair.remove(2);
+  EXPECT_EQ(pair.slab().item_count(), 2u);
+  pair.place(9, 40, 10);
+  EXPECT_EQ(pair.slab().slot_of(9), freed);
+  EXPECT_EQ(pair.slab().item_count(), 3u);
+  // One more place grows the slab instead of touching a live slot.
+  pair.place(10, 50, 10);
+  EXPECT_EQ(pair.slots({1, 3, 9, 10}),
+            (std::vector<std::uint32_t>{0, 2, freed, 3}));
+}
+
+TEST(SlabStore, StaleOrForeignSlotIsRefusedBeforeAnyWrite) {
+  StorePair pair;
+  for (ItemId id = 1; id <= 4; ++id) pair.place(id, (id - 1) * 10, 10);
+  const std::vector<std::uint32_t> cached = pair.slots({1, 2, 3, 4});
+  // Item 2 goes and item 7 takes its slot: the cached slot is stale.
+  pair.remove(2);
+  pair.place(7, 50, 10);
+  ASSERT_EQ(pair.slab().slot_of(7), cached[1]);
+  // The bad slot comes last, so items 1 and 3 resolve first and would be
+  // the ones to move if anything did.
+  pair.refused_run({1, 3, 2}, {cached[0], cached[2], cached[1]}, 100);
+  pair.refused_run({1, 3, 7}, {cached[0], cached[2], cached[1] + 100}, 100);
+  // A live slot naming another live item.
+  pair.refused_run({1, 3}, {cached[2], cached[0]}, 100);
+  pair.refused_run({1, 3}, {cached[0]}, 100);  // one slot short
+  EXPECT_EQ(pair.slab().total_moved(), 50u);   // the five places only
+  pair.run({1, 3, 7}, {cached[0], cached[2], cached[1]}, 100);
+}
+
+TEST(SlabStore, SlotFormRunsMatchTheIdForm) {
+  // The runs the id-form tests above cover — a repeated id, a reordered
+  // middle range, a run over non-contiguous index positions, one crossing
+  // an outside neighbor — in the slot form, checked against Memory after
+  // every update, with removals and slot reuse in between.
+  StorePair pair;
+  for (ItemId id = 1; id <= 6; ++id) pair.place(id, (id - 1) * 100, 10);
+  const auto run = [&](const std::vector<ItemId>& ids, Tick offset) {
+    pair.run(ids, pair.slots(ids), offset);
+  };
+  run({3, 2, 3}, 0);
+  run({1, 3, 3}, 0);
+  run({4, 2, 3}, 10);
+  run({5, 3}, 110);
+  run({2, 3}, 310);
+  pair.remove(4);
+  pair.place(8, 700, 10, /*extent=*/15);
+  run({1, 2, 3, 5, 6, 8}, 0);
+  run({8, 6, 5}, 30);
+  pair.remove(1);
+  pair.place(9, 0, 10);
+  run({9, 2, 3, 8, 6, 5}, 100);
 }
 
 TEST(SlabStore, IdMapSurvivesChurnAcrossGrowthAndDeletion) {

@@ -81,12 +81,22 @@ void parse_engine(const char* value, std::string& engine, bool& arena) {
   }
 }
 
+double bounded_load(double want, Tick min_size, Tick max_size, Tick capacity,
+                    std::size_t max_items) {
+  const double mean = (static_cast<double>(min_size) +
+                       static_cast<double>(max_size)) / 2.0;
+  const double cap = static_cast<double>(max_items) * mean /
+                     static_cast<double>(capacity);
+  return std::min(want, cap);
+}
+
 ScenarioParams workload_params(const std::string& workload,
                                const std::string& allocator, double eps,
                                Tick shard_capacity, std::size_t shards,
                                std::size_t updates, std::uint64_t seed,
                                std::size_t tenants, double zipf,
-                               Tick bytes_per_tick) {
+                               Tick bytes_per_tick,
+                               std::size_t max_fill_items) {
   const std::vector<std::string> allocators = allocator_names();
   if (std::find(allocators.begin(), allocators.end(), allocator) ==
       allocators.end()) {
@@ -98,17 +108,22 @@ ScenarioParams workload_params(const std::string& workload,
                 join(scenario_names()) + ")");
   }
   const AllocatorInfo info = allocator_info(allocator);
-  const std::string why =
-      scenario_incompatibility(workload, info, eps, shard_capacity);
+  ScenarioParams p =
+      scenario_params_for(info, eps, shard_capacity, updates, seed);
+  if (max_fill_items > 0) {
+    p.target_load = bounded_load(p.target_load, p.min_size, p.max_size,
+                                 shard_capacity, max_fill_items);
+  }
+  const std::string why = scenario_incompatibility(workload, info, eps,
+                                                   shard_capacity,
+                                                   p.target_load);
   if (!why.empty()) {
-    const std::string compat =
-        join(compatible_scenarios(info, eps, shard_capacity));
+    const std::string compat = join(
+        compatible_scenarios(info, eps, shard_capacity, p.target_load));
     usage_error(why + " (compatible scenarios for " + allocator + ": " +
                 (compat.empty() ? "none at this eps and capacity" : compat) +
                 ")");
   }
-  ScenarioParams p =
-      scenario_params_for(info, eps, shard_capacity, updates, seed);
   p.capacity = shard_capacity * shards;
   p.tenants = tenants;
   p.palette = tenants;

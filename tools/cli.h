@@ -40,6 +40,12 @@ void set_tool(const char* name,
 /// Anything else is a usage error.
 void parse_engine(const char* value, std::string& engine, bool& arena);
 
+/// Load level that fills with at most ~`max_items` items of the band's
+/// mean size: tiny-item families (tinyslab, flexhash, rsum bands) would
+/// otherwise need millions of fill inserts to hit a mass-fraction target.
+[[nodiscard]] double bounded_load(double want, Tick min_size, Tick max_size,
+                                  Tick capacity, std::size_t max_items);
+
 /// Resolves a driver's `--allocator` and `--workload`: an unknown
 /// allocator is a usage error listing the registry, an unknown workload
 /// one listing the scenario zoo, and a pair scenario_incompatibility
@@ -47,12 +53,15 @@ void parse_engine(const char* value, std::string& engine, bool& arena);
 /// Otherwise returns scenario_params_for: sizes come from the allocator's
 /// band over one shard, the live-mass budget spans every shard (capacity =
 /// shards x shard_capacity).  `tenants` is also the palette size of
-/// fixed-palette streams; `zipf` and `bytes_per_tick` pass through.
+/// fixed-palette streams; `zipf` and `bytes_per_tick` pass through.  A
+/// driver that caps its fill phase at `max_fill_items` items (0: no cap)
+/// gets the matching bounded_load as target_load, and the fill-length
+/// check is made at that load.
 [[nodiscard]] ScenarioParams workload_params(
     const std::string& workload, const std::string& allocator, double eps,
     Tick shard_capacity, std::size_t shards, std::size_t updates,
     std::uint64_t seed, std::size_t tenants = 8, double zipf = 1.0,
-    Tick bytes_per_tick = 8);
+    Tick bytes_per_tick = 8, std::size_t max_fill_items = 0);
 
 /// The metrics output flags of the tools that run with the observability
 /// subsystem armed.

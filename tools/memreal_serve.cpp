@@ -146,6 +146,12 @@ std::vector<std::string> split_list(const std::string& flag,
   return out;
 }
 
+/// The fill cap of a client stream of `updates` updates: client_workload
+/// bounds its load to at most this many fill items.
+std::size_t client_fill_items(std::size_t updates) {
+  return std::max<std::size_t>(updates, 1'000);
+}
+
 Options parse_args(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
@@ -234,10 +240,13 @@ Options parse_args(int argc, char** argv) {
                 "workloads)");
   }
   // Refuses an unknown workload, or one the allocator cannot serve,
-  // before the differential or any sweep point runs.
+  // before the differential or any sweep point runs.  The fill-length
+  // check uses the clients' bounded fill (one client fills the most), not
+  // the zoo's default load.
   (void)workload_params(o.workload, o.allocator, o.eps,
                         Tick{1} << o.capacity_log2, o.shards, o.updates,
-                        o.seed);
+                        o.seed, /*tenants=*/8, /*zipf=*/1.0, o.bytes_per_tick,
+                        client_fill_items(o.updates));
   return o;
 }
 
@@ -256,18 +265,6 @@ ShardedConfig base_config(const Options& o, const std::string& allocator,
   return c;
 }
 
-/// Load level that fills with at most ~`max_items` items of the band's
-/// mean size: tiny-item families (tinyslab, flexhash, rsum bands) would
-/// otherwise need millions of fill inserts to hit a mass-fraction target.
-double bounded_load(double want, Tick min_size, Tick max_size, Tick capacity,
-                    std::size_t max_items) {
-  const double mean = (static_cast<double>(min_size) +
-                       static_cast<double>(max_size)) / 2.0;
-  const double cap = static_cast<double>(max_items) * mean /
-                     static_cast<double>(capacity);
-  return std::min(want, cap);
-}
-
 /// One client's request stream: sizes from the allocator's registered
 /// band over the *shard* capacity, live-mass budget a 1/clients slice of
 /// the global capacity, ids remapped into a per-client residue class so
@@ -277,12 +274,13 @@ Sequence client_workload(const Options& o, Tick shard_capacity,
                          std::size_t point) {
   const std::size_t updates = std::max<std::size_t>(50, o.updates / clients);
   SplitMix64 mix(o.seed + 7919 * point + client);
-  ScenarioParams p =
-      workload_params(o.workload, o.allocator, o.eps, shard_capacity,
-                      o.shards, updates, mix.next());
+  ScenarioParams p = workload_params(
+      o.workload, o.allocator, o.eps, shard_capacity, o.shards, updates,
+      mix.next(), /*tenants=*/8, /*zipf=*/1.0, o.bytes_per_tick,
+      client_fill_items(updates));
   p.capacity /= clients;
   p.target_load = bounded_load(0.5, p.min_size, p.max_size, p.capacity,
-                               std::max<std::size_t>(updates, 1'000));
+                               client_fill_items(updates));
   Sequence s = make_scenario(o.workload, p);
   for (Update& u : s.updates) u.id = u.id * clients + client;
   return s;
